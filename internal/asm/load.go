@@ -48,7 +48,7 @@ func Load(m *vm.Machine, src string) (*Image, error) {
 			return nil, err
 		}
 	}
-	m.InvalidateICache()
+	m.InvalidateCode(codeAddr, codeAddr+uint64(len(p.Code)))
 	return &Image{Program: p, Machine: m}, nil
 }
 

@@ -34,13 +34,13 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(s.Accesses())
 }
 
-type set struct {
-	tags []uint64 // index 0 = most recently used
-}
-
+// level is one cache level. Its sets live in one flat array: set i owns
+// tags[i*Assoc : (i+1)*Assoc], of which the first used[i] entries are
+// valid, most recently used first.
 type level struct {
 	cfg      Level
-	sets     []set
+	tags     []uint64
+	used     []int32
 	setShift uint // log2(LineSize)
 	setMask  uint64
 	stats    Stats
@@ -50,6 +50,12 @@ type level struct {
 type Hierarchy struct {
 	levels     []*level
 	memLatency int
+	// mru is the line the last access touched, which that access left in
+	// the most-recently-used way of its L1 set: touching it again is an L1
+	// hit that reorders nothing, so it needs no set walk. Valid while
+	// mruOK; Reset and Flush clear it.
+	mru   uint64
+	mruOK bool
 }
 
 // Default returns a hierarchy modeled after the paper's evaluation machine
@@ -82,12 +88,14 @@ func New(cfgs []Level, memLatency int) (*Hierarchy, error) {
 		if nsets == 0 || nsets&(nsets-1) != 0 {
 			return nil, fmt.Errorf("cache %s: %d sets (size/line/assoc must give a power of two)", c.Name, nsets)
 		}
-		lv := &level{cfg: c, sets: make([]set, nsets), setMask: uint64(nsets - 1)}
+		lv := &level{
+			cfg:     c,
+			tags:    make([]uint64, nsets*c.Assoc),
+			used:    make([]int32, nsets),
+			setMask: uint64(nsets - 1),
+		}
 		for s := c.LineSize; s > 1; s >>= 1 {
 			lv.setShift++
-		}
-		for i := range lv.sets {
-			lv.sets[i].tags = make([]uint64, 0, c.Assoc)
 		}
 		h.levels = append(h.levels, lv)
 	}
@@ -116,6 +124,12 @@ func (h *Hierarchy) Access(addr uint64, size int) int {
 }
 
 func (h *Hierarchy) accessLine(addr uint64) int {
+	if h.mruOK && addr == h.mru {
+		l1 := h.levels[0]
+		l1.stats.Hits++
+		return l1.cfg.Latency
+	}
+	h.mru, h.mruOK = addr, true
 	lat := 0
 	hitLevel := len(h.levels) // == miss everywhere
 	for i, lv := range h.levels {
@@ -138,14 +152,21 @@ func (h *Hierarchy) accessLine(addr uint64) int {
 	return lat
 }
 
+// set returns the valid ways of the set addr maps to, its index, and the
+// line's tag.
+func (lv *level) set(addr uint64) (ways []uint64, idx int, tag uint64) {
+	tag = addr >> lv.setShift
+	idx = int(tag & lv.setMask)
+	return lv.tags[idx*lv.cfg.Assoc:][:lv.used[idx]], idx, tag
+}
+
 func (lv *level) lookup(addr uint64) bool {
-	tag := addr >> lv.setShift
-	s := &lv.sets[tag&lv.setMask]
-	for i, t := range s.tags {
+	ways, _, tag := lv.set(addr)
+	for i, t := range ways {
 		if t == tag {
 			// Move to MRU position.
-			copy(s.tags[1:i+1], s.tags[:i])
-			s.tags[0] = tag
+			copy(ways[1:i+1], ways[:i])
+			ways[0] = tag
 			return true
 		}
 	}
@@ -153,15 +174,15 @@ func (lv *level) lookup(addr uint64) bool {
 }
 
 func (lv *level) fill(addr uint64) {
-	tag := addr >> lv.setShift
-	s := &lv.sets[tag&lv.setMask]
-	if len(s.tags) < lv.cfg.Assoc {
-		s.tags = append(s.tags, 0)
+	ways, idx, tag := lv.set(addr)
+	if len(ways) < lv.cfg.Assoc {
+		lv.used[idx]++
+		ways = ways[:len(ways)+1]
 	} else {
 		lv.stats.Evictions++ // LRU tag at the tail is overwritten below
 	}
-	copy(s.tags[1:], s.tags)
-	s.tags[0] = tag
+	copy(ways[1:], ways)
+	ways[0] = tag
 }
 
 // Stats returns per-level statistics keyed by level name, in order.
@@ -182,19 +203,16 @@ func (h *Hierarchy) Stats() []struct {
 
 // Reset clears contents and statistics.
 func (h *Hierarchy) Reset() {
+	h.Flush()
 	for _, lv := range h.levels {
-		for i := range lv.sets {
-			lv.sets[i].tags = lv.sets[i].tags[:0]
-		}
 		lv.stats = Stats{}
 	}
 }
 
 // Flush clears cache contents but keeps statistics.
 func (h *Hierarchy) Flush() {
+	h.mruOK = false
 	for _, lv := range h.levels {
-		for i := range lv.sets {
-			lv.sets[i].tags = lv.sets[i].tags[:0]
-		}
+		clear(lv.used)
 	}
 }

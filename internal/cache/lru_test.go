@@ -1,6 +1,9 @@
 package cache
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 // TestAccessSizeZeroNoUnderflow is the regression test for an underflow in
 // Access: with size == 0, `addr + size - 1` wrapped around and the line walk
@@ -93,5 +96,113 @@ func TestMultiLineSpanLatency(t *testing.T) {
 	}
 	if lat := h2.Access(100, 140); lat != 3*4 {
 		t.Errorf("misaligned 3-line warm span = %d, want %d", lat, 3*4)
+	}
+}
+
+// refLevel is the textbook model the flat tag arrays must agree with: one
+// little slice per set, most recently used first.
+type refLevel struct {
+	cfg   Level
+	sets  [][]uint64
+	stats Stats
+}
+
+func (r *refLevel) tagSet(addr uint64) (uint64, *[]uint64) {
+	tag := addr / uint64(r.cfg.LineSize)
+	return tag, &r.sets[tag%uint64(len(r.sets))]
+}
+
+func (r *refLevel) lookup(addr uint64) bool {
+	tag, s := r.tagSet(addr)
+	for i, t := range *s {
+		if t == tag {
+			*s = append(append([]uint64{tag}, (*s)[:i]...), (*s)[i+1:]...)
+			return true
+		}
+	}
+	return false
+}
+
+func (r *refLevel) fill(addr uint64) {
+	tag, s := r.tagSet(addr)
+	if len(*s) == r.cfg.Assoc {
+		*s = (*s)[:len(*s)-1]
+		r.stats.Evictions++
+	}
+	*s = append([]uint64{tag}, *s...)
+}
+
+// TestMatchesReferenceModel replays random access streams — hot lines,
+// strided conflicts, accesses straddling lines, flushes in between —
+// through the hierarchy and through the reference, and wants every latency
+// and every counter equal.
+func TestMatchesReferenceModel(t *testing.T) {
+	cfgs := []Level{
+		{Name: "L1", Size: 1 << 10, LineSize: 64, Assoc: 2, Latency: 4},
+		{Name: "L2", Size: 8 << 10, LineSize: 64, Assoc: 4, Latency: 12},
+		{Name: "L3", Size: 24 << 10, LineSize: 64, Assoc: 3, Latency: 36},
+	}
+	const memLatency = 160
+	h, err := New(cfgs, memLatency)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := make([]*refLevel, len(cfgs))
+	for i, c := range cfgs {
+		ref[i] = &refLevel{cfg: c, sets: make([][]uint64, c.Size/(c.LineSize*c.Assoc))}
+	}
+	refLine := func(addr uint64) int {
+		lat, hit := 0, len(ref)
+		for i, r := range ref {
+			lat += r.cfg.Latency
+			if r.lookup(addr) {
+				r.stats.Hits++
+				hit = i
+				break
+			}
+			r.stats.Misses++
+		}
+		if hit == len(ref) {
+			lat += memLatency
+		}
+		for _, r := range ref[:hit] {
+			r.fill(addr)
+		}
+		return lat
+	}
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 200_000; i++ {
+		var addr uint64
+		switch r.Intn(4) {
+		case 0:
+			addr = uint64(r.Intn(2 << 10)) // hot, fits L2
+		case 1:
+			addr = uint64(r.Intn(64)) * 4096 // one set, many tags
+		case 2:
+			addr = uint64(r.Intn(256 << 10)) // thrashes everything
+		case 3:
+			addr = uint64(i/3) * 8 // sequential words, repeated
+		}
+		size := []int{1, 8, 8, 8, 32}[r.Intn(5)]
+		want := 0
+		for a := addr &^ 63; a <= (addr+uint64(size)-1)&^63; a += 64 {
+			want += refLine(a)
+		}
+		if got := h.Access(addr, size); got != want {
+			t.Fatalf("access %d (0x%x, %d): latency %d, reference %d", i, addr, size, got, want)
+		}
+		if r.Intn(20_000) == 0 {
+			h.Flush()
+			for _, l := range ref {
+				for s := range l.sets {
+					l.sets[s] = nil
+				}
+			}
+		}
+	}
+	for i, lv := range h.Stats() {
+		if lv.Stats != ref[i].stats {
+			t.Errorf("%s: %+v, reference %+v", lv.Name, lv.Stats, ref[i].stats)
+		}
 	}
 }

@@ -38,6 +38,13 @@ func immSize(v int64) int {
 
 var immBytes = [4]int{1, 2, 4, 8}
 
+// MaxInstrLen is the longest encoding any instruction has: an FRI
+// instruction with an 8-byte immediate (opcode, register/size byte,
+// immediate). Whoever caches decoded instructions by start address needs
+// it: a write at address w can change any instruction that starts in
+// [w-(MaxInstrLen-1), w].
+const MaxInstrLen = 10
+
 // EncodedLen returns the encoded length of ins in bytes without encoding it.
 func EncodedLen(ins Instr) (int, error) {
 	info := Info(ins.Op)

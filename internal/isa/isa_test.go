@@ -419,3 +419,79 @@ func TestFlagsBitsRoundtrip(t *testing.T) {
 		}
 	}
 }
+
+// TestMaxInstrLen encodes every opcode in every operand form its format
+// has — each immediate width, each addressing mode with short and long
+// displacements, forced-wide fields — and checks that nothing is longer
+// than MaxInstrLen and that something is exactly that long.
+func TestMaxInstrLen(t *testing.T) {
+	imms := []int64{0, -1, math.MaxInt8, math.MinInt8, math.MaxInt16, math.MinInt16,
+		math.MaxInt32, math.MinInt32, math.MaxInt64, math.MinInt64}
+	var mems []MemRef
+	for _, base := range []Reg{RegNone, R3} {
+		for _, index := range []Reg{RegNone, R14} {
+			for _, disp := range []int32{0, 1, math.MinInt8, math.MaxInt8 + 1, math.MaxInt32, math.MinInt32} {
+				for _, wide := range []bool{false, true} {
+					mems = append(mems, MemRef{Base: base, Index: index, Scale: 8, Disp: disp, Wide: wide})
+				}
+			}
+		}
+	}
+	longest := 0
+	check := func(ins Instr) {
+		t.Helper()
+		b, err := Encode(ins)
+		if err != nil {
+			t.Fatalf("%v: %v", ins, err)
+		}
+		if len(b) > MaxInstrLen {
+			t.Errorf("%v encodes to %d bytes, MaxInstrLen is %d", ins, len(b), MaxInstrLen)
+		}
+		if len(b) > longest {
+			longest = len(b)
+		}
+	}
+	const far = 1 << 30 // a rel32 target far from Addr 0
+	for op := Opcode(0); int(op) < NumOpcodes; op++ {
+		switch Info(op).Format {
+		case FNone:
+			check(MakeNone(op))
+		case FR:
+			check(MakeR(op, R15))
+		case FRR:
+			check(MakeRR(op, 3, 2))
+		case FRI:
+			for _, v := range imms {
+				check(MakeRI(op, R15, v))
+				if v >= math.MinInt32 && v <= math.MaxInt32 {
+					ins := MakeRI(op, R15, v)
+					ins.Wide = true
+					check(ins)
+				}
+			}
+		case FRM:
+			for _, m := range mems {
+				check(MakeRM(op, 3, m))
+			}
+		case FMR:
+			for _, m := range mems {
+				check(MakeMR(op, m, 3))
+			}
+		case FRel:
+			check(MakeRel(op, far))
+		case FCC:
+			for cc := Cond(0); cc.Valid(); cc++ {
+				check(MakeJCC(cc, far))
+			}
+		case FCCR:
+			for cc := Cond(0); cc.Valid(); cc++ {
+				check(MakeSetCC(cc, R15))
+			}
+		default:
+			t.Fatalf("%s: format %d not covered", op, Info(op).Format)
+		}
+	}
+	if longest != MaxInstrLen {
+		t.Errorf("longest encoding is %d bytes, MaxInstrLen is %d", longest, MaxInstrLen)
+	}
+}

@@ -5,11 +5,11 @@
 package mem
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 	"sort"
-	"sync/atomic"
 )
 
 // Perm is a segment permission bitmask.
@@ -70,12 +70,11 @@ func (s *Segment) Contains(addr uint64) bool { return addr >= s.Base && addr < s
 // The zero value is an empty address space ready for Map calls.
 //
 // Concurrency: reads may run concurrently (e.g. several rewriter traces
-// over the same code); the one-entry lookup cache is atomic. Mapping
-// segments or writing memory concurrently with anything else requires
-// external synchronization.
+// over the same code) — a lookup changes no state. Mapping segments or
+// writing memory concurrently with anything else requires external
+// synchronization.
 type Memory struct {
-	segs []*Segment              // sorted by Base
-	last atomic.Pointer[Segment] // 1-entry lookup cache
+	segs []*Segment // sorted by Base
 }
 
 // Map creates a segment of the given size. It fails if the range overlaps an
@@ -102,14 +101,15 @@ func (m *Memory) Map(name string, base, size uint64, perm Perm) (*Segment, error
 func (m *Memory) Segments() []*Segment { return m.segs }
 
 // Find returns the segment containing addr, or nil.
+//
+// An address space has a handful of segments, so this is a scan; a caller
+// with locality (the emulator) remembers the segment it was handed.
 func (m *Memory) Find(addr uint64) *Segment {
-	if s := m.last.Load(); s != nil && s.Contains(addr) {
-		return s
-	}
-	idx := sort.Search(len(m.segs), func(i int) bool { return m.segs[i].End() > addr })
-	if idx < len(m.segs) && m.segs[idx].Contains(addr) {
-		m.last.Store(m.segs[idx])
-		return m.segs[idx]
+	for _, s := range m.segs {
+		// One compare: an addr below Base wraps to a huge offset.
+		if addr-s.Base < uint64(len(s.Data)) {
+			return s
+		}
 	}
 	return nil
 }
@@ -158,10 +158,23 @@ func (m *Memory) WriteN(addr uint64, v uint64, n int) error {
 }
 
 // Read64 reads a 64-bit value.
-func (m *Memory) Read64(addr uint64) (uint64, error) { return m.ReadN(addr, 8) }
+func (m *Memory) Read64(addr uint64) (uint64, error) {
+	b, err := m.Slice(addr, 8, PermRead)
+	if err != nil {
+		return 0, err
+	}
+	return binary.LittleEndian.Uint64(b), nil
+}
 
 // Write64 writes a 64-bit value.
-func (m *Memory) Write64(addr uint64, v uint64) error { return m.WriteN(addr, v, 8) }
+func (m *Memory) Write64(addr uint64, v uint64) error {
+	b, err := m.Slice(addr, 8, PermWrite)
+	if err != nil {
+		return err
+	}
+	binary.LittleEndian.PutUint64(b, v)
+	return nil
+}
 
 // Read8 reads a byte.
 func (m *Memory) Read8(addr uint64) (byte, error) {

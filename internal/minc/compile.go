@@ -194,7 +194,7 @@ func (p *Program) Link(m *vm.Machine, externs map[string]uint64) (*Linked, error
 		l.Lines.add(f.name, lo, lo+uint64(len(code)), entries)
 	}
 	l.Lines.sortFuncs()
-	m.InvalidateICache()
+	m.InvalidateCode(base, base+total)
 	return l, nil
 }
 

@@ -1,0 +1,233 @@
+package vm_test
+
+import (
+	"fmt"
+	"strings"
+	"sync"
+	"testing"
+
+	"repro/internal/asm"
+	"repro/internal/vm"
+)
+
+// bodyCode is a position-independent function returning ret+1.
+func bodyCode(t *testing.T, ret int) []byte {
+	t.Helper()
+	p, err := asm.AssembleAt(fmt.Sprintf("f:\n movi r0, %d\n addi r0, 1\n ret\n", ret), vm.JITBase, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p.Code
+}
+
+// installBody installs bodyCode(ret) into the JIT segment.
+func installBody(t *testing.T, m *vm.Machine, ret int) uint64 {
+	t.Helper()
+	code := bodyCode(t, ret)
+	addr, err := m.InstallJIT(len(code), func(uint64) ([]byte, error) { return code, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	return addr
+}
+
+// TestGuestStoreIntoCodeIsSeen: a guest that overwrites the immediate of
+// an instruction it has already executed, by every kind of store, and
+// runs it again must see the new value. The instruction is a 10-byte
+// movi, so the stores land 2 to 9 bytes past the start of the decoded
+// instruction they must invalidate.
+func TestGuestStoreIntoCodeIsSeen(t *testing.T) {
+	const old, new = 0x1111111111111111, 0x2222222222222222
+	cases := []struct {
+		name, patch string
+		want        uint64
+	}{
+		{"store", "movi r5, 0x2222222222222222\n store [r4+2], r5", new},
+		{"storeb-last-byte", "movi r5, 0x22\n storeb [r4+9], r5", 0x2211111111111111},
+		{"push", "movi r5, 0x2222222222222222\n mov r6, r15\n lea r15, [r4+10]\n push r5\n mov r15, r6", new},
+		{"fstore", "movi r5, 0x2222222222222222\n fmovif f1, r5\n fstore [r4+2], f1", new},
+		// Lanes 1-3 are zero bytes: they overwrite the 24 NOPs with NOPs.
+		{"vstore", "movi r5, lanes\n vload v0, [r5]\n vstore [r4+2], v0", new},
+	}
+	for _, c := range cases {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			m := vm.MustNew()
+			im, err := asm.Load(m, `
+f:
+    movi r2, 0
+here:
+    movi r0, 0x1111111111111111
+`+strings.Repeat("    nop\n", 24)+`
+    cmpi r2, 1
+    jeq  done
+    movi r2, 1
+    movi r4, here
+    `+c.patch+`
+    jmp  here
+done:
+    ret
+.data
+lanes:
+    .quad 0x2222222222222222, 0, 0, 0
+`)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := m.Call(im.MustEntry("f"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != c.want {
+				t.Errorf("second execution returned %#x, want %#x (first returns %#x)", got, c.want, uint64(old))
+			}
+		})
+	}
+}
+
+// TestWriteJITConcurrentWithInstall: patching a stub with WriteJIT while
+// another goroutine installs a body is permitted (the machine is idle);
+// both change the decoded tables, so both must do it under the JIT lock.
+// Run under -race.
+func TestWriteJITConcurrentWithInstall(t *testing.T) {
+	m := vm.MustNew()
+	stub := installBody(t, m, 1)
+	for round := 0; round < 20; round++ {
+		// Execute the stub so there is decoded state to invalidate.
+		if got, err := m.Call(stub); err != nil || got != uint64(round+2) {
+			t.Fatalf("round %d: stub returned %d, %v", round, got, err)
+		}
+		patch, code := bodyCode(t, round+2), bodyCode(t, 100)
+		var wg sync.WaitGroup
+		var body uint64
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			var err error
+			if body, err = m.InstallJIT(len(code), func(uint64) ([]byte, error) { return code, nil }); err != nil {
+				t.Error(err)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			if err := m.WriteJIT(stub, patch); err != nil {
+				t.Error(err)
+			}
+		}()
+		wg.Wait()
+		if got, err := m.Call(body); err != nil || got != 101 {
+			t.Fatalf("round %d: installed body returned %d, %v", round, got, err)
+		}
+		if err := m.FreeJIT(body); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestInstallLeavesOtherDecodesInPlace: installing body B must not cost an
+// already-executed body A its decoded instructions, even when the two
+// share a page; rewriting A itself must.
+func TestInstallLeavesOtherDecodesInPlace(t *testing.T) {
+	m := vm.MustNew()
+	a := installBody(t, m, 1)
+	if _, err := m.Call(a); err != nil {
+		t.Fatal(err)
+	}
+	warm := m.Decodes()
+	if warm == 0 {
+		t.Fatal("first execution decoded nothing")
+	}
+
+	b := installBody(t, m, 2)
+	if a>>12 != b>>12 {
+		t.Fatalf("bodies at %#x and %#x do not share a page", a, b)
+	}
+	if got, err := m.Call(a); err != nil || got != 2 {
+		t.Fatalf("a returned %d, %v", got, err)
+	}
+	if d := m.Decodes(); d != warm {
+		t.Errorf("executing a after installing b decoded %d instructions, want 0", d-warm)
+	}
+
+	if got, err := m.Call(b); err != nil || got != 3 {
+		t.Fatalf("b returned %d, %v", got, err)
+	}
+	warm = m.Decodes()
+	if err := m.WriteJIT(a, bodyCode(t, 7)); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := m.Call(a); err != nil || got != 8 {
+		t.Fatalf("rewritten a returned %d, %v", got, err)
+	}
+	if m.Decodes() == warm {
+		t.Error("rewritten body was served from stale decodes")
+	}
+	warm = m.Decodes()
+	if got, err := m.Call(b); err != nil || got != 3 {
+		t.Fatalf("b returned %d, %v", got, err)
+	}
+	if d := m.Decodes(); d != warm {
+		t.Errorf("executing b after rewriting a decoded %d instructions, want 0", d-warm)
+	}
+}
+
+// TestFullPageOfOrphansStartsOver: patching and re-executing one spot
+// thousands of times orphans a decoded entry each time; the page must
+// start over rather than outgrow its 16-bit slots.
+func TestFullPageOfOrphansStartsOver(t *testing.T) {
+	m := vm.MustNew()
+	a := installBody(t, m, 0)
+	for i := 0; i < 3*4096; i++ {
+		if err := m.WriteJIT(a, bodyCode(t, i%100)); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := m.Call(a); err != nil || got != uint64(i%100+1) {
+			t.Fatalf("patch %d: returned %d, %v", i, got, err)
+		}
+	}
+}
+
+// TestAllocationCeilings pins what the collector has to look at: building
+// a machine is a few dozen objects (the segments themselves hold no
+// pointers), and a warm call with nothing armed allocates nothing.
+func TestAllocationCeilings(t *testing.T) {
+	if n := testing.AllocsPerRun(3, func() {
+		if _, err := vm.New(); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 64 {
+		t.Errorf("vm.New makes %.0f allocations, want <= 64", n)
+	}
+
+	m := vm.MustNew()
+	im, err := asm.Load(m, `
+f:
+    push r10
+    movi r10, buf
+    store [r10], r1
+    load r0, [r10]
+    add  r0, r2
+    call g
+    pop  r10
+    ret
+g:
+    addi r0, 1
+    ret
+.data
+buf: .quad 0
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := im.MustEntry("f")
+	if got, err := m.Call(f, 3, 4); err != nil || got != 8 {
+		t.Fatalf("f(3, 4) = %d, %v", got, err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := m.Call(f, 3, 4); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("a warm call allocates %.0f times, want 0", n)
+	}
+}

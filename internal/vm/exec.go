@@ -1,0 +1,492 @@
+package vm
+
+import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"math"
+
+	"repro/internal/isa"
+	"repro/internal/mem"
+)
+
+// Step executes one instruction. It returns ErrHalted on HALT and ErrBreak
+// on BRK.
+func (m *Machine) Step() error { return m.exec(1) }
+
+// Run executes until HALT, BRK, a fault, or maxSteps instructions
+// (maxSteps <= 0 means no limit). HALT returns nil.
+func (m *Machine) Run(maxSteps int64) error {
+	if maxSteps <= 0 {
+		maxSteps = math.MaxInt64
+	}
+	switch err := m.exec(maxSteps); {
+	case err == nil:
+		return ErrStepLimit
+	case errors.Is(err, ErrHalted):
+		return nil
+	default:
+		return err
+	}
+}
+
+// rearm recomputes armed: whether anything at all observes or surcharges
+// execution. The instruction loop tests this one flag where it would
+// otherwise test each hook, so with nothing armed an instruction pays one
+// predictable branch for all of them together.
+//
+// The contract for a new hook: add it here; test m.armed before looking at
+// it; call rearm after it returns, because a callback may arm or disarm
+// anything, itself included (a watch handler patches code and removes
+// watches from inside a store). Hooks are plain exported fields the host
+// sets between runs, so exec and beginCall rearm on entry as well.
+func (m *Machine) rearm() {
+	m.armed = m.Prof != nil || m.OnLoad != nil || m.OnStore != nil || m.OnStoreValue != nil ||
+		m.OnCall != nil || len(m.watches) > 0 || len(m.RegionCosts) > 0 || len(m.FuncCost) > 0
+}
+
+// opCost is isa's base cycle cost per opcode, flattened so the loop reads
+// one byte instead of copying an isa.OpInfo per instruction.
+var opCost = func() (t [256]uint8) {
+	for op := 0; op < isa.NumOpcodes; op++ {
+		t[op] = uint8(isa.Opcode(op).Cost())
+	}
+	return t
+}()
+
+// fault decorates an execution error with the current PC.
+func (m *Machine) fault(err error) error {
+	return fmt.Errorf("vm: at pc=0x%x: %w", m.CPU.PC, err)
+}
+
+// effAddr computes the effective address of a memory operand.
+func (m *Machine) effAddr(mr *isa.MemRef) uint64 {
+	var a uint64
+	if mr.HasBase() {
+		a += m.CPU.R[mr.Base]
+	}
+	if mr.HasIndex() {
+		a += m.CPU.R[mr.Index] * uint64(mr.Scale)
+	}
+	return a + uint64(int64(mr.Disp))
+}
+
+// segment returns the mapped segment holding addr, trying the one the
+// last access touched first.
+func (m *Machine) segment(addr uint64) *mem.Segment {
+	if s := m.dseg; s != nil && addr-s.Base < uint64(len(s.Data)) {
+		return s
+	}
+	s := m.Mem.Find(addr)
+	if s != nil {
+		m.dseg = s
+	}
+	return s
+}
+
+// load reads a guest integer of size 1 or 8. Anything but a permitted
+// access inside one segment goes to m.Mem, which reports the fault.
+func (m *Machine) load(addr uint64, size int) (uint64, error) {
+	if s := m.segment(addr); s != nil && s.Perm&mem.PermRead != 0 {
+		off := addr - s.Base
+		if size == 1 {
+			return uint64(s.Data[off]), nil
+		}
+		if off+8 <= uint64(len(s.Data)) {
+			return binary.LittleEndian.Uint64(s.Data[off:]), nil
+		}
+	}
+	return m.Mem.ReadN(addr, size)
+}
+
+// store writes the low size bytes (1 or 8) of v. A store into an
+// executable segment drops the decodes it may have changed: the guest may
+// rewrite its own code.
+func (m *Machine) store(addr, v uint64, size int) error {
+	s := m.segment(addr)
+	if s == nil || s.Perm&mem.PermWrite == 0 {
+		return m.Mem.WriteN(addr, v, size)
+	}
+	off := addr - s.Base
+	if size == 1 {
+		s.Data[off] = byte(v)
+	} else if off+8 <= uint64(len(s.Data)) {
+		binary.LittleEndian.PutUint64(s.Data[off:], v)
+	} else {
+		return m.Mem.WriteN(addr, v, size)
+	}
+	if s.Perm&mem.PermExec != 0 {
+		m.InvalidateCode(addr, addr+uint64(size))
+	}
+	return nil
+}
+
+// chargeMem accounts one completed data access: the counter, the cache
+// model's latency and, when armed, the hooks.
+func (m *Machine) chargeMem(addr uint64, size int, isStore bool) {
+	if m.armed {
+		m.chargeMemArmed(addr, size, isStore)
+		return
+	}
+	if isStore {
+		m.Stats.Stores++
+	} else {
+		m.Stats.Loads++
+	}
+	if m.Cache != nil {
+		m.Stats.Cycles += uint64(m.Cache.Access(addr, size))
+	}
+}
+
+// chargeMemArmed is chargeMem with hooks: counter, OnStore/OnLoad,
+// watches, cache, region costs, in that order. Each hook is read when its
+// turn comes, so what an earlier callback armed or disarmed takes effect
+// within the same access.
+func (m *Machine) chargeMemArmed(addr uint64, size int, isStore bool) {
+	if isStore {
+		m.Stats.Stores++
+		if m.OnStore != nil {
+			m.OnStore(addr, size)
+		}
+		if len(m.watches) > 0 {
+			m.hitWatches(addr, size)
+		}
+	} else {
+		m.Stats.Loads++
+		if m.OnLoad != nil {
+			m.OnLoad(addr, size)
+		}
+	}
+	if m.Cache != nil {
+		m.Stats.Cycles += uint64(m.Cache.Access(addr, size))
+	}
+	for _, rc := range m.RegionCosts {
+		if addr >= rc.Base && addr < rc.End {
+			m.Stats.Cycles += uint64(rc.Extra)
+			rc.Count++
+		}
+	}
+	m.rearm()
+}
+
+// noteStore reports one completed store to the journal hook, masking the
+// value to the bytes actually written.
+func (m *Machine) noteStore(addr uint64, size int, val uint64) {
+	if !m.armed || m.OnStoreValue == nil {
+		return
+	}
+	if size < 8 {
+		val &= 1<<(8*uint(size)) - 1
+	}
+	m.OnStoreValue(addr, size, val)
+	m.rearm()
+}
+
+func (m *Machine) push(v uint64) error {
+	m.CPU.R[isa.SP] -= 8
+	addr := m.CPU.R[isa.SP]
+	if err := m.store(addr, v, 8); err != nil {
+		return err
+	}
+	m.chargeMem(addr, 8, true)
+	m.noteStore(addr, 8, v)
+	return nil
+}
+
+func (m *Machine) pop() (uint64, error) {
+	addr := m.CPU.R[isa.SP]
+	v, err := m.load(addr, 8)
+	if err != nil {
+		return 0, err
+	}
+	m.chargeMem(addr, 8, false)
+	m.CPU.R[isa.SP] += 8
+	return v, nil
+}
+
+// exec is the instruction loop behind Step and Run. It executes up to n
+// instructions and returns nil when the budget is spent, ErrHalted on HALT
+// (PC left on it), ErrBreak on BRK (PC past it), or the fault, decorated
+// with the PC of the instruction that raised it.
+func (m *Machine) exec(n int64) error {
+	m.rearm()
+	c := &m.CPU
+	for ; n > 0; n-- {
+		pc := c.PC
+		var ins *isa.Instr
+		if off := pc - m.pageBase; off < pageSize && m.page.slot[off] != 0 {
+			ins = &m.page.ins[m.page.slot[off]-1]
+		} else {
+			var err error
+			if ins, err = m.fetch(pc); err != nil {
+				return m.fault(err)
+			}
+		}
+		next := pc + uint64(ins.Len)
+		m.Stats.Instructions++
+		m.Stats.OpCount[ins.Op]++
+		m.Stats.Cycles += uint64(opCost[ins.Op])
+		if m.armed {
+			if p := m.Prof; p != nil && m.Stats.Cycles >= p.nextAt {
+				p.sample(m.Stats.Cycles, pc)
+				m.rearm()
+			}
+		}
+
+		switch ins.Op {
+		case isa.NOP:
+
+		case isa.HALT:
+			return ErrHalted
+
+		case isa.BRK:
+			c.PC = next
+			return ErrBreak
+
+		case isa.MOV, isa.ADD, isa.SUB, isa.IMUL, isa.IDIV, isa.IREM, isa.AND,
+			isa.OR, isa.XOR, isa.SHL, isa.SHR, isa.SAR, isa.CMP, isa.TEST:
+			r, fl, writes, err := isa.EvalALU(ins.Op, c.R[ins.Dst.Reg], c.R[ins.Src.Reg])
+			if err != nil {
+				return m.fault(err)
+			}
+			if writes {
+				c.R[ins.Dst.Reg] = r
+			}
+			if isa.SetsFlags(ins.Op) {
+				c.Flags = fl
+			}
+
+		case isa.MOVI, isa.ADDI, isa.SUBI, isa.IMULI, isa.ANDI, isa.ORI,
+			isa.XORI, isa.SHLI, isa.SHRI, isa.SARI, isa.CMPI:
+			r, fl, writes, err := isa.EvalALU(ins.Op, c.R[ins.Dst.Reg], uint64(ins.Src.Imm))
+			if err != nil {
+				return m.fault(err)
+			}
+			if writes {
+				c.R[ins.Dst.Reg] = r
+			}
+			if isa.SetsFlags(ins.Op) {
+				c.Flags = fl
+			}
+
+		case isa.NEG, isa.NOT:
+			r, fl, setsFl := isa.EvalALU1(ins.Op, c.R[ins.Dst.Reg])
+			c.R[ins.Dst.Reg] = r
+			if setsFl {
+				c.Flags = fl
+			}
+
+		case isa.LEA:
+			c.R[ins.Dst.Reg] = m.effAddr(&ins.Src.Mem)
+
+		case isa.LOAD, isa.LOADB:
+			addr := m.effAddr(&ins.Src.Mem)
+			size := 8
+			if ins.Op == isa.LOADB {
+				size = 1
+			}
+			v, err := m.load(addr, size)
+			if err != nil {
+				return m.fault(err)
+			}
+			m.chargeMem(addr, size, false)
+			c.R[ins.Dst.Reg] = v
+
+		case isa.STORE, isa.STOREB:
+			addr := m.effAddr(&ins.Dst.Mem)
+			size := 8
+			if ins.Op == isa.STOREB {
+				size = 1
+			}
+			if err := m.store(addr, c.R[ins.Src.Reg], size); err != nil {
+				return m.fault(err)
+			}
+			m.chargeMem(addr, size, true)
+			m.noteStore(addr, size, c.R[ins.Src.Reg])
+
+		case isa.PUSH:
+			if err := m.push(c.R[ins.Dst.Reg]); err != nil {
+				return m.fault(err)
+			}
+
+		case isa.POP:
+			v, err := m.pop()
+			if err != nil {
+				return m.fault(err)
+			}
+			c.R[ins.Dst.Reg] = v
+
+		case isa.PUSHF:
+			if err := m.push(c.Flags.Bits()); err != nil {
+				return m.fault(err)
+			}
+
+		case isa.POPF:
+			v, err := m.pop()
+			if err != nil {
+				return m.fault(err)
+			}
+			c.Flags = isa.FlagsFromBits(v)
+
+		case isa.SETCC:
+			if ins.CC.Holds(c.Flags) {
+				c.R[ins.Dst.Reg] = 1
+			} else {
+				c.R[ins.Dst.Reg] = 0
+			}
+
+		case isa.JMP:
+			m.Stats.Branches++
+			m.Stats.TakenBranches++
+			c.PC = ins.Target()
+			continue
+
+		case isa.JMPR:
+			m.Stats.Branches++
+			m.Stats.TakenBranches++
+			c.PC = c.R[ins.Dst.Reg]
+			continue
+
+		case isa.JCC:
+			m.Stats.Branches++
+			if ins.CC.Holds(c.Flags) {
+				m.Stats.TakenBranches++
+				m.Stats.Cycles++ // taken-branch penalty
+				c.PC = ins.Target()
+				continue
+			}
+
+		case isa.CALL, isa.CALLR:
+			target := ins.Target()
+			if ins.Op == isa.CALLR {
+				target = c.R[ins.Dst.Reg]
+			}
+			m.Stats.Calls++
+			if m.armed {
+				if m.OnCall != nil {
+					m.OnCall(target, c)
+				}
+				if extra, ok := m.FuncCost[target]; ok {
+					m.Stats.Cycles += uint64(extra)
+				}
+				m.rearm()
+			}
+			if err := m.push(next); err != nil {
+				return m.fault(err)
+			}
+			if m.armed && m.Prof != nil {
+				m.Prof.pushCall(target)
+			}
+			c.PC = target
+			continue
+
+		case isa.RET:
+			ra, err := m.pop()
+			if err != nil {
+				return m.fault(err)
+			}
+			if m.armed && m.Prof != nil {
+				m.Prof.popCall()
+			}
+			c.PC = ra
+			continue
+
+		case isa.FMOV, isa.FADD, isa.FSUB, isa.FMUL, isa.FDIV, isa.FSQRT, isa.FCMP:
+			r, fl, writes := isa.EvalFPU(ins.Op, c.F[ins.Dst.Reg], c.F[ins.Src.Reg])
+			if writes {
+				c.F[ins.Dst.Reg] = r
+			}
+			if ins.Op == isa.FCMP {
+				c.Flags = fl
+			}
+
+		case isa.FMOVI:
+			c.F[ins.Dst.Reg] = math.Float64frombits(uint64(ins.Src.Imm))
+
+		case isa.FNEG:
+			c.F[ins.Dst.Reg] = -c.F[ins.Dst.Reg]
+
+		case isa.FLOAD:
+			addr := m.effAddr(&ins.Src.Mem)
+			v, err := m.load(addr, 8)
+			if err != nil {
+				return m.fault(err)
+			}
+			m.chargeMem(addr, 8, false)
+			c.F[ins.Dst.Reg] = math.Float64frombits(v)
+
+		case isa.FSTORE:
+			addr := m.effAddr(&ins.Dst.Mem)
+			if err := m.store(addr, math.Float64bits(c.F[ins.Src.Reg]), 8); err != nil {
+				return m.fault(err)
+			}
+			m.chargeMem(addr, 8, true)
+			m.noteStore(addr, 8, math.Float64bits(c.F[ins.Src.Reg]))
+
+		case isa.CVTIF:
+			c.F[ins.Dst.Reg] = float64(int64(c.R[ins.Src.Reg]))
+
+		case isa.CVTFI:
+			c.R[ins.Dst.Reg] = uint64(int64(c.F[ins.Src.Reg]))
+
+		case isa.FMOVFI:
+			c.R[ins.Dst.Reg] = math.Float64bits(c.F[ins.Src.Reg])
+
+		case isa.FMOVIF:
+			c.F[ins.Dst.Reg] = math.Float64frombits(c.R[ins.Src.Reg])
+
+		case isa.VLOAD:
+			addr := m.effAddr(&ins.Src.Mem)
+			for i := 0; i < isa.VecLanes; i++ {
+				v, err := m.load(addr+uint64(8*i), 8)
+				if err != nil {
+					return m.fault(err)
+				}
+				c.V[ins.Dst.Reg][i] = math.Float64frombits(v)
+			}
+			m.chargeMem(addr, 8*isa.VecLanes, false)
+
+		case isa.VSTORE:
+			addr := m.effAddr(&ins.Dst.Mem)
+			for i := 0; i < isa.VecLanes; i++ {
+				v := math.Float64bits(c.V[ins.Src.Reg][i])
+				if err := m.store(addr+uint64(8*i), v, 8); err != nil {
+					return m.fault(err)
+				}
+				m.noteStore(addr+uint64(8*i), 8, v)
+			}
+			m.chargeMem(addr, 8*isa.VecLanes, true)
+
+		case isa.VADD, isa.VSUB, isa.VMUL:
+			for i := 0; i < isa.VecLanes; i++ {
+				a, b := c.V[ins.Dst.Reg][i], c.V[ins.Src.Reg][i]
+				switch ins.Op {
+				case isa.VADD:
+					c.V[ins.Dst.Reg][i] = a + b
+				case isa.VSUB:
+					c.V[ins.Dst.Reg][i] = a - b
+				case isa.VMUL:
+					c.V[ins.Dst.Reg][i] = a * b
+				}
+			}
+
+		case isa.VBCAST:
+			for i := 0; i < isa.VecLanes; i++ {
+				c.V[ins.Dst.Reg][i] = c.F[ins.Src.Reg]
+			}
+
+		case isa.VHADD:
+			s := 0.0
+			for i := 0; i < isa.VecLanes; i++ {
+				s += c.V[ins.Src.Reg][i]
+			}
+			c.F[ins.Dst.Reg] = s
+
+		default:
+			return m.fault(fmt.Errorf("unimplemented opcode %s (%v)", ins.Op, *ins))
+		}
+
+		c.PC = next
+	}
+	return nil
+}

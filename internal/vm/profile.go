@@ -14,8 +14,8 @@ import (
 // (*minc.LineTable).Lookup — and aggregated into folded (flamegraph)
 // stacks and per-function/per-line leaf counts.
 //
-// The profiler only costs anything when attached: the emulator's fast path
-// pays one nil check per instruction.
+// The profiler only costs anything when attached: detached, it is one of
+// the hooks behind the instruction loop's single armed check.
 type Profiler struct {
 	// Interval is the sampling period in emulated cycles.
 	Interval uint64

@@ -7,7 +7,6 @@ package vm
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 
 	"repro/internal/cache"
@@ -121,8 +120,9 @@ type Machine struct {
 	UserStepLimit int64
 
 	// Prof, when non-nil, samples the PC and simulated call stack every
-	// Prof.Interval cycles (see AttachProfiler). Costs one nil check per
-	// instruction when detached; never charges emulated cycles.
+	// Prof.Interval cycles (see AttachProfiler). Detached it costs nothing
+	// of its own: like every hook above it is folded into the one armed
+	// check the instruction loop makes. It never charges emulated cycles.
 	Prof *Profiler
 
 	// Telemetry delta baselines: counters already published to the
@@ -131,15 +131,29 @@ type Machine struct {
 	pubCache []cacheLevelStats
 
 	// jitMu serializes JIT allocation and installation, allowing several
-	// rewrites to run concurrently (their traces only read memory).
+	// rewrites to run concurrently (their traces only read memory), and
+	// with them every change a code write makes to the decoded tables.
 	jitMu sync.Mutex
 
-	// watches are the installed write-watchpoints (see watch.go). nil when
-	// none are armed, so the store path pays one length check.
+	// watches are the installed write-watchpoints (see watch.go); nil when
+	// none are armed.
 	watches []*Watch
 
+	// armed summarises every hook above for the instruction loop; see
+	// rearm.
+	armed bool
+
 	haltAddr uint64
-	icache   map[uint64]isa.Instr
+
+	// Decoded code (code.go): a page directory per executable segment that
+	// has executed, the page the last fetch hit, and a count of decodes.
+	texts    []*text
+	page     *codePage
+	pageBase uint64
+	decodes  uint64
+
+	// dseg is the segment the last guest load or store touched.
+	dseg *mem.Segment
 }
 
 // New builds a machine with the default layout and the default cache
@@ -149,7 +163,7 @@ func New() (*Machine, error) {
 		Mem:      &mem.Memory{},
 		Cache:    cache.Default(),
 		FuncCost: make(map[uint64]int),
-		icache:   make(map[uint64]isa.Instr),
+		page:     &noPage,
 	}
 	segs := []struct {
 		name string
@@ -209,20 +223,31 @@ func (m *Machine) LoadCode(code []byte) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if err := m.Mem.WriteBytes(addr, code); err != nil {
+	m.jitMu.Lock()
+	defer m.jitMu.Unlock()
+	if err := m.writeCode(addr, code); err != nil {
 		return 0, err
 	}
-	m.InvalidateICache()
 	return addr, nil
 }
 
 // WriteJIT copies rewriter output into the JIT segment at addr (previously
-// reserved from JITAlloc) and invalidates the decode cache.
+// reserved from JITAlloc) and drops the decodes the write may have changed.
+// Like InstallJIT it takes the machine's JIT lock, so a stub patch may race
+// installs (the machine must not be executing meanwhile, unless the caller
+// is one of its own callbacks).
 func (m *Machine) WriteJIT(addr uint64, code []byte) error {
+	m.jitMu.Lock()
+	defer m.jitMu.Unlock()
+	return m.writeCode(addr, code)
+}
+
+// writeCode is WriteJIT with the JIT lock held.
+func (m *Machine) writeCode(addr uint64, code []byte) error {
 	if err := m.Mem.WriteBytes(addr, code); err != nil {
 		return err
 	}
-	m.InvalidateICache()
+	m.invalidate(addr, addr+uint64(len(code)))
 	return nil
 }
 
@@ -252,395 +277,9 @@ func (m *Machine) InstallJIT(size int, gen func(addr uint64) ([]byte, error)) (u
 	if len(code) != size {
 		return 0, fmt.Errorf("vm: generated code size changed: %d -> %d", size, len(code))
 	}
-	if err := m.Mem.WriteBytes(addr, code); err != nil {
+	if err := m.writeCode(addr, code); err != nil {
 		return 0, err
 	}
 	installed = true
-	m.InvalidateICache()
 	return addr, nil
-}
-
-// InvalidateICache drops all cached decodes; required after any code write.
-func (m *Machine) InvalidateICache() {
-	if len(m.icache) > 0 {
-		m.icache = make(map[uint64]isa.Instr)
-	}
-}
-
-// fault decorates an execution error with the current PC.
-func (m *Machine) fault(err error) error {
-	return fmt.Errorf("vm: at pc=0x%x: %w", m.CPU.PC, err)
-}
-
-func (m *Machine) fetch() (isa.Instr, error) {
-	if ins, ok := m.icache[m.CPU.PC]; ok {
-		return ins, nil
-	}
-	b, err := m.Mem.FetchSlice(m.CPU.PC)
-	if err != nil {
-		return isa.Instr{}, err
-	}
-	ins, err := isa.Decode(b, m.CPU.PC)
-	if err != nil {
-		return isa.Instr{}, err
-	}
-	m.icache[m.CPU.PC] = ins
-	return ins, nil
-}
-
-// effAddr computes the effective address of a memory operand.
-func (m *Machine) effAddr(mr isa.MemRef) uint64 {
-	var a uint64
-	if mr.HasBase() {
-		a += m.CPU.R[mr.Base]
-	}
-	if mr.HasIndex() {
-		a += m.CPU.R[mr.Index] * uint64(mr.Scale)
-	}
-	return a + uint64(int64(mr.Disp))
-}
-
-func (m *Machine) chargeMem(addr uint64, size int, isStore bool) {
-	if isStore {
-		m.Stats.Stores++
-		if m.OnStore != nil {
-			m.OnStore(addr, size)
-		}
-		if len(m.watches) > 0 {
-			m.hitWatches(addr, size)
-		}
-	} else {
-		m.Stats.Loads++
-		if m.OnLoad != nil {
-			m.OnLoad(addr, size)
-		}
-	}
-	if m.Cache != nil {
-		m.Stats.Cycles += uint64(m.Cache.Access(addr, size))
-	}
-	for _, rc := range m.RegionCosts {
-		if addr >= rc.Base && addr < rc.End {
-			m.Stats.Cycles += uint64(rc.Extra)
-			rc.Count++
-		}
-	}
-}
-
-// noteStore reports one completed store to the journal hook, masking the
-// value to the bytes actually written.
-func (m *Machine) noteStore(addr uint64, size int, val uint64) {
-	if m.OnStoreValue == nil {
-		return
-	}
-	if size < 8 {
-		val &= 1<<(8*uint(size)) - 1
-	}
-	m.OnStoreValue(addr, size, val)
-}
-
-func (m *Machine) push(v uint64) error {
-	m.CPU.R[isa.SP] -= 8
-	addr := m.CPU.R[isa.SP]
-	if err := m.Mem.Write64(addr, v); err != nil {
-		return err
-	}
-	m.chargeMem(addr, 8, true)
-	m.noteStore(addr, 8, v)
-	return nil
-}
-
-func (m *Machine) pop() (uint64, error) {
-	addr := m.CPU.R[isa.SP]
-	v, err := m.Mem.Read64(addr)
-	if err != nil {
-		return 0, err
-	}
-	m.chargeMem(addr, 8, false)
-	m.CPU.R[isa.SP] += 8
-	return v, nil
-}
-
-// Step executes one instruction. It returns ErrHalted on HALT and ErrBreak
-// on BRK.
-func (m *Machine) Step() error {
-	ins, err := m.fetch()
-	if err != nil {
-		return m.fault(err)
-	}
-	c := &m.CPU
-	next := c.PC + uint64(ins.Len)
-	m.Stats.Instructions++
-	m.Stats.OpCount[ins.Op]++
-	m.Stats.Cycles += uint64(ins.Op.Cost())
-	if m.Prof != nil && m.Stats.Cycles >= m.Prof.nextAt {
-		m.Prof.sample(m.Stats.Cycles, c.PC)
-	}
-
-	info := isa.Info(ins.Op)
-	switch ins.Op {
-	case isa.NOP:
-
-	case isa.HALT:
-		return ErrHalted
-
-	case isa.BRK:
-		c.PC = next
-		return ErrBreak
-
-	case isa.MOV, isa.ADD, isa.SUB, isa.IMUL, isa.IDIV, isa.IREM, isa.AND,
-		isa.OR, isa.XOR, isa.SHL, isa.SHR, isa.SAR, isa.CMP, isa.TEST:
-		r, fl, writes, aerr := isa.EvalALU(ins.Op, c.R[ins.Dst.Reg], c.R[ins.Src.Reg])
-		if aerr != nil {
-			return m.fault(aerr)
-		}
-		if writes {
-			c.R[ins.Dst.Reg] = r
-		}
-		if isa.SetsFlags(ins.Op) {
-			c.Flags = fl
-		}
-
-	case isa.MOVI, isa.ADDI, isa.SUBI, isa.IMULI, isa.ANDI, isa.ORI,
-		isa.XORI, isa.SHLI, isa.SHRI, isa.SARI, isa.CMPI:
-		r, fl, writes, aerr := isa.EvalALU(ins.Op, c.R[ins.Dst.Reg], uint64(ins.Src.Imm))
-		if aerr != nil {
-			return m.fault(aerr)
-		}
-		if writes {
-			c.R[ins.Dst.Reg] = r
-		}
-		if isa.SetsFlags(ins.Op) {
-			c.Flags = fl
-		}
-
-	case isa.NEG, isa.NOT:
-		r, fl, setsFl := isa.EvalALU1(ins.Op, c.R[ins.Dst.Reg])
-		c.R[ins.Dst.Reg] = r
-		if setsFl {
-			c.Flags = fl
-		}
-
-	case isa.LEA:
-		c.R[ins.Dst.Reg] = m.effAddr(ins.Src.Mem)
-
-	case isa.LOAD, isa.LOADB:
-		addr := m.effAddr(ins.Src.Mem)
-		size := 8
-		if ins.Op == isa.LOADB {
-			size = 1
-		}
-		v, merr := m.Mem.ReadN(addr, size)
-		if merr != nil {
-			return m.fault(merr)
-		}
-		m.chargeMem(addr, size, false)
-		c.R[ins.Dst.Reg] = v
-
-	case isa.STORE, isa.STOREB:
-		addr := m.effAddr(ins.Dst.Mem)
-		size := 8
-		if ins.Op == isa.STOREB {
-			size = 1
-		}
-		if merr := m.Mem.WriteN(addr, c.R[ins.Src.Reg], size); merr != nil {
-			return m.fault(merr)
-		}
-		m.chargeMem(addr, size, true)
-		m.noteStore(addr, size, c.R[ins.Src.Reg])
-
-	case isa.PUSH:
-		if err := m.push(c.R[ins.Dst.Reg]); err != nil {
-			return m.fault(err)
-		}
-
-	case isa.POP:
-		v, perr := m.pop()
-		if perr != nil {
-			return m.fault(perr)
-		}
-		c.R[ins.Dst.Reg] = v
-
-	case isa.PUSHF:
-		if err := m.push(c.Flags.Bits()); err != nil {
-			return m.fault(err)
-		}
-
-	case isa.POPF:
-		v, perr := m.pop()
-		if perr != nil {
-			return m.fault(perr)
-		}
-		c.Flags = isa.FlagsFromBits(v)
-
-	case isa.SETCC:
-		if ins.CC.Holds(c.Flags) {
-			c.R[ins.Dst.Reg] = 1
-		} else {
-			c.R[ins.Dst.Reg] = 0
-		}
-
-	case isa.JMP:
-		m.Stats.Branches++
-		m.Stats.TakenBranches++
-		c.PC = ins.Target()
-		return nil
-
-	case isa.JMPR:
-		m.Stats.Branches++
-		m.Stats.TakenBranches++
-		c.PC = c.R[ins.Dst.Reg]
-		return nil
-
-	case isa.JCC:
-		m.Stats.Branches++
-		if ins.CC.Holds(c.Flags) {
-			m.Stats.TakenBranches++
-			m.Stats.Cycles++ // taken-branch penalty
-			c.PC = ins.Target()
-			return nil
-		}
-
-	case isa.CALL, isa.CALLR:
-		target := ins.Target()
-		if ins.Op == isa.CALLR {
-			target = c.R[ins.Dst.Reg]
-		}
-		m.Stats.Calls++
-		if m.OnCall != nil {
-			m.OnCall(target, c)
-		}
-		if extra, ok := m.FuncCost[target]; ok {
-			m.Stats.Cycles += uint64(extra)
-		}
-		if err := m.push(next); err != nil {
-			return m.fault(err)
-		}
-		if m.Prof != nil {
-			m.Prof.pushCall(target)
-		}
-		c.PC = target
-		return nil
-
-	case isa.RET:
-		ra, perr := m.pop()
-		if perr != nil {
-			return m.fault(perr)
-		}
-		if m.Prof != nil {
-			m.Prof.popCall()
-		}
-		c.PC = ra
-		return nil
-
-	case isa.FMOV, isa.FADD, isa.FSUB, isa.FMUL, isa.FDIV, isa.FSQRT, isa.FCMP:
-		r, fl, writes := isa.EvalFPU(ins.Op, c.F[ins.Dst.Reg], c.F[ins.Src.Reg])
-		if writes {
-			c.F[ins.Dst.Reg] = r
-		}
-		if ins.Op == isa.FCMP {
-			c.Flags = fl
-		}
-
-	case isa.FMOVI:
-		c.F[ins.Dst.Reg] = math.Float64frombits(uint64(ins.Src.Imm))
-
-	case isa.FNEG:
-		c.F[ins.Dst.Reg] = -c.F[ins.Dst.Reg]
-
-	case isa.FLOAD:
-		addr := m.effAddr(ins.Src.Mem)
-		v, merr := m.Mem.ReadF64(addr)
-		if merr != nil {
-			return m.fault(merr)
-		}
-		m.chargeMem(addr, 8, false)
-		c.F[ins.Dst.Reg] = v
-
-	case isa.FSTORE:
-		addr := m.effAddr(ins.Dst.Mem)
-		if merr := m.Mem.WriteF64(addr, c.F[ins.Src.Reg]); merr != nil {
-			return m.fault(merr)
-		}
-		m.chargeMem(addr, 8, true)
-		m.noteStore(addr, 8, math.Float64bits(c.F[ins.Src.Reg]))
-
-	case isa.CVTIF:
-		c.F[ins.Dst.Reg] = float64(int64(c.R[ins.Src.Reg]))
-
-	case isa.CVTFI:
-		c.R[ins.Dst.Reg] = uint64(int64(c.F[ins.Src.Reg]))
-
-	case isa.FMOVFI:
-		c.R[ins.Dst.Reg] = math.Float64bits(c.F[ins.Src.Reg])
-
-	case isa.FMOVIF:
-		c.F[ins.Dst.Reg] = math.Float64frombits(c.R[ins.Src.Reg])
-
-	case isa.VLOAD:
-		addr := m.effAddr(ins.Src.Mem)
-		for i := 0; i < isa.VecLanes; i++ {
-			v, merr := m.Mem.ReadF64(addr + uint64(8*i))
-			if merr != nil {
-				return m.fault(merr)
-			}
-			c.V[ins.Dst.Reg][i] = v
-		}
-		m.chargeMem(addr, 8*isa.VecLanes, false)
-
-	case isa.VSTORE:
-		addr := m.effAddr(ins.Dst.Mem)
-		for i := 0; i < isa.VecLanes; i++ {
-			if merr := m.Mem.WriteF64(addr+uint64(8*i), c.V[ins.Src.Reg][i]); merr != nil {
-				return m.fault(merr)
-			}
-			m.noteStore(addr+uint64(8*i), 8, math.Float64bits(c.V[ins.Src.Reg][i]))
-		}
-		m.chargeMem(addr, 8*isa.VecLanes, true)
-
-	case isa.VADD, isa.VSUB, isa.VMUL:
-		for i := 0; i < isa.VecLanes; i++ {
-			a, b := c.V[ins.Dst.Reg][i], c.V[ins.Src.Reg][i]
-			switch ins.Op {
-			case isa.VADD:
-				c.V[ins.Dst.Reg][i] = a + b
-			case isa.VSUB:
-				c.V[ins.Dst.Reg][i] = a - b
-			case isa.VMUL:
-				c.V[ins.Dst.Reg][i] = a * b
-			}
-		}
-
-	case isa.VBCAST:
-		for i := 0; i < isa.VecLanes; i++ {
-			c.V[ins.Dst.Reg][i] = c.F[ins.Src.Reg]
-		}
-
-	case isa.VHADD:
-		s := 0.0
-		for i := 0; i < isa.VecLanes; i++ {
-			s += c.V[ins.Src.Reg][i]
-		}
-		c.F[ins.Dst.Reg] = s
-
-	default:
-		return m.fault(fmt.Errorf("unimplemented opcode %s (%v)", info.Name, ins))
-	}
-
-	c.PC = next
-	return nil
-}
-
-// Run executes until HALT, BRK, a fault, or maxSteps instructions
-// (maxSteps <= 0 means no limit). HALT returns nil.
-func (m *Machine) Run(maxSteps int64) error {
-	for n := int64(0); maxSteps <= 0 || n < maxSteps; n++ {
-		switch err := m.Step(); {
-		case err == nil:
-		case errors.Is(err, ErrHalted):
-			return nil
-		default:
-			return err
-		}
-	}
-	return ErrStepLimit
 }

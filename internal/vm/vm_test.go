@@ -431,7 +431,7 @@ func TestICacheInvalidation(t *testing.T) {
 	if r, _ := m.Call(f); r != 1 {
 		t.Fatalf("first call = %d", r)
 	}
-	// Overwrite with movi r0, 9; the icache must not serve the old decode.
+	// Overwrite with movi r0, 9; the old decode must not be served.
 	p, err := asm.AssembleAt("f:\n movi r0, 9\n ret\n", f, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -16,7 +16,17 @@ go vet ./...
 echo "== go test ./..."
 go test ./...
 
+# The benchmark is a module of its own (bench/go.mod), so the line above
+# does not descend into it.
+echo "== go -C bench test ./..."
+go -C bench test ./...
+
 if [ "${RACE:-1}" = 1 ]; then
+    # The emulator's decoded-code tables change under the JIT lock while
+    # installs and stub patches run concurrently; mem and cache ride along
+    # (small, and everything above them leans on them).
+    echo "== go test -race (short budget: vm, mem, cache)"
+    go test -race -short ./internal/vm/ ./internal/mem/ ./internal/cache/
     # Short-budget race pass over the packages with real concurrency:
     # RewriteBatch workers, the experiment driver, and the lock-free
     # telemetry registry (full package: it is small and heavily atomic).
