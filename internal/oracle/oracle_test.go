@@ -245,3 +245,28 @@ func TestGeneratedProgramsCompile(t *testing.T) {
 		}
 	}
 }
+
+// TestCorpusCasesNoDivergence runs the corpus cases that have no test of
+// their own (both PGAS sums, the X2 chain) through the oracle: their
+// argument generators must be consistent with their declarations.
+func TestCorpusCasesNoDivergence(t *testing.T) {
+	cases, err := CorpusCases()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 6 + corpusGenHi - corpusGenLo + 1; len(cases) != want {
+		t.Fatalf("corpus has %d cases, want %d", len(cases), want)
+	}
+	for _, c := range cases[3:6] {
+		res, err := Run(c, 1)
+		if err != nil {
+			t.Fatalf("%s: %v", c.Name, err)
+		}
+		if res.RewriteErr != nil {
+			t.Fatalf("%s: rewrite refused: %v", c.Name, res.RewriteErr)
+		}
+		if res.Divergence != nil {
+			t.Fatalf("%s:\n%s", c.Name, res.Divergence.Format())
+		}
+	}
+}
