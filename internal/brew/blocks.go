@@ -28,17 +28,24 @@ type eblock struct {
 	addr   uint64 // original address (0 for compensation trampolines)
 	fnAddr uint64 // function the original address belongs to
 	ins    []isa.Instr
-	meta   []insMeta // parallel to ins: frame-access annotations
+	meta   []insMeta // parallel to ins: frame-access annotations, pass marks
+	ndead  int       // instructions marked dead and not yet swept
 	term   termKind
 	cc     isa.Cond
 	succ   int // fallthrough successor block id
 	jcc    int // taken successor block id (termJcc)
 
-	// entry world snapshot (owned); nil once the block has been traced and
-	// is no longer needed for compatibility checks... kept for migration.
-	world  *world
-	frames []frame
-	bytes  int // encoded size of ins (maintained incrementally)
+	// world is the entry snapshot: the known-world state this translation
+	// assumes, kept for identity and migration checks and never written
+	// once the block is registered (its overlays are shared with whoever
+	// traced into it). nil for compensation trampolines.
+	world *world
+	whash uint64 // world.hash(), nominating this block for an edge
+	ctx   int    // inline context (tracer.ctxs) the block starts in
+	next  int    // next translation of the same site, -1 at the end
+	bytes int    // encoded size of ins
+
+	classes [numClasses]int32 // traced instructions by decision class
 }
 
 // frame is one shadow-stack entry for an inlined call (paper, Section
@@ -51,108 +58,103 @@ type frame struct {
 	opts    FuncOpts
 }
 
-func framesKey(frames []frame) uint64 {
-	var h uint64 = 1469598103934665603 // FNV offset basis
-	mix := func(v uint64) {
-		h ^= v
-		h *= 1099511628211
-	}
-	for _, f := range frames {
-		mix(f.retAddr)
-		mix(f.fn)
-		mix(uint64(f.delta))
-	}
-	return h
+// inlineCtx is one interned shadow stack: frame pushed on top of the
+// context parent. Context 0 is the empty stack. Equal stacks get equal ids
+// (tracer.pushCtx), so a context id is an exact identity — blocks and
+// sites compare ids instead of hashing frame lists.
+type inlineCtx struct {
+	frame
+	parent int
+	depth  int
 }
 
-// blockKey identifies a translation: same original start address but
-// different known-world state (or inline context) is a different block
-// (paper, Section III.F).
-type blockKey struct {
-	addr uint64
-	wkey uint64
-	fkey uint64
+// ctxKey is what identifies a pushed frame under a parent context; the
+// frame's options follow from fn.
+type ctxKey struct {
+	parent  int
+	retAddr uint64
+	fn      uint64
+	delta   int64
 }
 
 // variantSite groups translations of the same original address in the same
-// inline context, for the variant threshold.
+// inline context: different known-world states there are different blocks
+// (paper, Section III.F), counted against the variant threshold.
 type variantSite struct {
 	addr uint64
-	fkey uint64
+	ctx  int
 }
 
-// layout orders the blocks, fixes jump forms, encodes everything and
-// returns the final image based at base.
-func layoutAndEncode(blocks []*eblock, base uint64, maxBytes int) ([]byte, error) {
+// site is the chain (eblock.next) of a variantSite's translations in
+// creation order.
+type site struct {
+	head, tail, n int
+}
+
+// layout is the final placement of the blocks: their order and, by block
+// id, each one's byte offset from the image base. Jump encodings are
+// fixed-width, so offsets and the total size follow from the block sizes
+// alone — the image is encoded once, at the address InstallJIT hands out
+// (paper: "Do relocation of all needed jumps, given start addresses from
+// the previous step").
+type layout struct {
+	order []int
+	off   []int
+	size  int
+}
+
+// follower returns the block physically after order[i], -1 at the end.
+func (l *layout) follower(i int) int {
+	if i+1 < len(l.order) {
+		return l.order[i+1]
+	}
+	return -1
+}
+
+// planLayout orders the blocks and assigns offsets.
+func planLayout(blocks []*eblock, maxBytes int) (*layout, error) {
 	if len(blocks) == 0 {
 		return nil, fmt.Errorf("%w: no blocks generated", ErrUnsupported)
 	}
-	order := blockOrder(blocks)
+	l := &layout{order: blockOrder(blocks), off: make([]int, len(blocks))}
+	for i, id := range l.order {
+		l.off[id] = l.size
+		l.size += blocks[id].bytes + termSize(blocks[id], l.follower(i))
+	}
+	if l.size > maxBytes {
+		return nil, fmt.Errorf("%w: %d bytes > limit %d", ErrCodeBufferFull, l.size, maxBytes)
+	}
+	return l, nil
+}
 
-	// Pass 1: assign addresses. Jump encodings are fixed-width, so sizes
-	// are final before targets are known (paper: "Do relocation of all
-	// needed jumps, given start addresses from the previous step").
-	pos := make([]uint64, len(blocks))
-	addr := base
-	next := make([]int, len(blocks)) // block physically following, -1 at end
-	for i, id := range order {
-		if i+1 < len(order) {
-			next[id] = order[i+1]
-		} else {
-			next[id] = -1
-		}
-	}
-	for _, id := range order {
+// encode produces the image based at base (stamping each instruction's
+// address on the way: the encoder reads it for relative targets).
+func (l *layout) encode(blocks []*eblock, base uint64) ([]byte, error) {
+	out := make([]byte, 0, l.size)
+	var err error
+	for i, id := range l.order {
 		b := blocks[id]
-		pos[id] = addr
-		addr += uint64(b.bytes)
-		addr += uint64(termSize(b, next[id]))
-	}
-	if int(addr-base) > maxBytes {
-		return nil, fmt.Errorf("%w: %d bytes > limit %d", ErrCodeBufferFull, addr-base, maxBytes)
-	}
-
-	// Pass 2: encode.
-	out := make([]byte, 0, addr-base)
-	for _, id := range order {
-		b := blocks[id]
-		blockStart := base + uint64(len(out))
-		if blockStart != pos[id] {
+		if len(out) != l.off[id] {
 			return nil, fmt.Errorf("%w: layout desync at block %d", ErrUnsupported, id)
 		}
-		var err error
-		for _, ins := range b.ins {
-			ins.Addr = base + uint64(len(out))
-			out, err = isa.AppendEncode(out, ins)
-			if err != nil {
+		for k := range b.ins {
+			b.ins[k].Addr = base + uint64(len(out))
+			if out, err = isa.AppendEncode(out, b.ins[k]); err != nil {
 				return nil, fmt.Errorf("%w: %v", ErrUnsupported, err)
 			}
 		}
-		switch b.term {
-		case termEnd:
-		case termFall:
-			if b.succ != next[id] {
-				j := isa.MakeRel(isa.JMP, pos[b.succ])
-				j.Addr = base + uint64(len(out))
-				out, err = isa.AppendEncode(out, j)
-				if err != nil {
-					return nil, err
-				}
-			}
-		case termJcc:
-			j := isa.MakeJCC(b.cc, pos[b.jcc])
+		if b.term == termJcc {
+			j := isa.MakeJCC(b.cc, base+uint64(l.off[b.jcc]))
 			j.Addr = base + uint64(len(out))
-			out, err = isa.AppendEncode(out, j)
-			if err != nil {
+			if out, err = isa.AppendEncode(out, j); err != nil {
 				return nil, err
 			}
-			if b.succ != next[id] {
-				j2 := isa.MakeRel(isa.JMP, pos[b.succ])
-				j2.Addr = base + uint64(len(out))
-				out, err = isa.AppendEncode(out, j2)
-				if err != nil {
-					return nil, err
-				}
+		}
+		if b.term != termEnd && b.succ != l.follower(i) {
+			j := isa.MakeRel(isa.JMP, base+uint64(l.off[b.succ]))
+			j.Addr = base + uint64(len(out))
+			if out, err = isa.AppendEncode(out, j); err != nil {
+				return nil, err
 			}
 		}
 	}
@@ -186,21 +188,16 @@ func termSize(b *eblock, next int) int {
 // blocks for the final rewritten code").
 func blockOrder(blocks []*eblock) []int {
 	seen := make([]bool, len(blocks))
-	var order []int
-	var chain func(id int)
-	chain = func(id int) {
+	order := make([]int, 0, len(blocks))
+	// chain appends the unvisited fallthrough chain starting at id.
+	chain := func(id int) {
 		for id >= 0 && !seen[id] {
 			seen[id] = true
 			order = append(order, id)
-			b := blocks[id]
-			switch b.term {
-			case termFall:
-				id = b.succ
-			case termJcc:
-				id = b.succ // prefer the fallthrough path
-			default:
-				id = -1
+			if blocks[id].term == termEnd {
+				return
 			}
+			id = blocks[id].succ // on a branch, prefer the fallthrough path
 		}
 	}
 	chain(0)
@@ -226,14 +223,43 @@ func blockOrder(blocks []*eblock) []int {
 	return order
 }
 
-// dump renders the captured blocks for debugging and the paper's Figure 6
-// style listings.
-func dumpBlocks(blocks []*eblock) string {
+// blockInfo is what Result keeps of one block for Listing: where its body
+// lies in the image and how it ends.
+type blockInfo struct {
+	addr      uint64 // original address
+	off, size int32  // body bytes in the image, terminator excluded
+	succ, jcc int32
+	term      termKind
+	cc        isa.Cond
+}
+
+// blockTable summarizes the laid-out blocks, by id.
+func blockTable(blocks []*eblock, l *layout) []blockInfo {
+	tab := make([]blockInfo, len(blocks))
+	for id, b := range blocks {
+		tab[id] = blockInfo{addr: b.addr, off: int32(l.off[id]), size: int32(b.bytes),
+			succ: int32(b.succ), jcc: int32(b.jcc), term: b.term, cc: b.cc}
+	}
+	return tab
+}
+
+// Listing returns a human-readable dump of the captured blocks (the
+// reproduction of the paper's Figure 6). It is rendered on each call by
+// decoding the Result's private copy of the emitted image: a rewrite on the
+// request path pays for no text, and a held Result retains the image and a
+// small block table, not instructions, blocks or worlds.
+func (r *Result) Listing() string {
 	var sb strings.Builder
-	for _, b := range blocks {
-		fmt.Fprintf(&sb, "block %d (orig 0x%x):\n", b.id, b.addr)
-		for _, ins := range b.ins {
+	for id, b := range r.blocks {
+		fmt.Fprintf(&sb, "block %d (orig 0x%x):\n", id, b.addr)
+		for off, end := int(b.off), int(b.off+b.size); off < end; {
+			ins, err := isa.Decode(r.image[off:end], r.Addr+uint64(off))
+			if err != nil {
+				fmt.Fprintf(&sb, "    <%v>\n", err)
+				break
+			}
 			fmt.Fprintf(&sb, "    %s\n", ins)
+			off += ins.Len
 		}
 		switch b.term {
 		case termFall:

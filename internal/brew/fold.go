@@ -17,13 +17,20 @@ func (a addrState) delta() int64 { return int64(a.val) }
 
 // insMeta annotates one emitted instruction with its statically known
 // frame access (delta relative to the entry SP), enabling the dead
-// frame-store elimination pass.
+// frame-store elimination pass, and carries the optimizer's marks: dead
+// (removed, until sweepDead drops it) and mark (scratch of one pass, which
+// clears it before returning).
 type insMeta struct {
 	frameStore bool
 	frameLoad  bool
+	dead       bool
+	mark       bool
+	size       int32
 	delta      int64
-	size       int64
 }
+
+// span returns the frame bytes the annotated access touches, as deltas.
+func (m insMeta) span() frameSpan { return frameSpan{m.delta, m.delta + int64(m.size)} }
 
 // emit appends one captured instruction to the current block, accounting
 // its encoded size against the code budget and annotating frame accesses.
@@ -34,8 +41,8 @@ func (t *tracer) emit(ins isa.Instr) error {
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrUnsupported, err)
 	}
-	t.cur.ins = append(t.cur.ins, ins)
-	t.cur.meta = append(t.cur.meta, t.frameMeta(ins))
+	t.ins = append(t.ins, ins)
+	t.meta = append(t.meta, t.frameMeta(&ins))
 	t.cur.bytes += n
 	t.codeBytes += n
 	t.rep.emitN++
@@ -48,10 +55,10 @@ func (t *tracer) emit(ins isa.Instr) error {
 // frameMeta classifies an emitted instruction's stack-frame access. When
 // an access cannot be attributed precisely, the whole frame is marked
 // opaque, disabling dead-store elimination.
-func (t *tracer) frameMeta(ins isa.Instr) insMeta {
+func (t *tracer) frameMeta(ins *isa.Instr) insMeta {
 	var m isa.MemRef
 	var isStore, isLoad bool
-	var size int64 = 8
+	var size int32 = 8
 	switch ins.Op {
 	case isa.STORE, isa.FSTORE:
 		m, isStore = ins.Dst.Mem, true
@@ -163,11 +170,11 @@ func (t *tracer) readKnownMem(addr uint64, size int) (uint64, bool) {
 	var v uint64
 	for i := size - 1; i >= 0; i-- {
 		a := addr + uint64(i)
-		if mb, ok := t.w.mem[a]; ok {
-			if !mb.known {
+		if b, known, present := t.w.memByte(a); present {
+			if !known {
 				return 0, false
 			}
-			v = v<<8 | uint64(mb.b)
+			v = v<<8 | uint64(b)
 			continue
 		}
 		if !t.inKnown(a, 1) {
@@ -341,7 +348,7 @@ func (t *tracer) emitMemHandler(handler uint64, m isa.MemRef) error {
 }
 
 // stepLoad handles LOAD and LOADB.
-func (t *tracer) stepLoad(ins isa.Instr) error {
+func (t *tracer) stepLoad(ins *isa.Instr) error {
 	size := 8
 	if ins.Op == isa.LOADB {
 		size = 1
@@ -384,7 +391,7 @@ func (t *tracer) stepLoad(ins isa.Instr) error {
 }
 
 // stepFLoad handles FLOAD.
-func (t *tracer) stepFLoad(ins isa.Instr) error {
+func (t *tracer) stepFLoad(ins *isa.Instr) error {
 	st := t.memAddr(ins.Src.Mem)
 	switch st.kind {
 	case vConst:
@@ -418,7 +425,7 @@ func (t *tracer) stepFLoad(ins isa.Instr) error {
 // stepStore handles STORE, STOREB and FSTORE. Stores are always emitted so
 // the runtime memory and stack hold the true values at all times; tracking
 // only licenses folding of later loads.
-func (t *tracer) stepStore(ins isa.Instr) error {
+func (t *tracer) stepStore(ins *isa.Instr) error {
 	size := 8
 	if ins.Op == isa.STOREB {
 		size = 1

@@ -1,6 +1,11 @@
 package brew
 
-import "repro/internal/isa"
+import (
+	"cmp"
+	"slices"
+
+	"repro/internal/isa"
+)
 
 // optimize runs local passes over the captured blocks. The paper's
 // prototype ships without optimization passes ("there currently are no
@@ -24,69 +29,130 @@ import "repro/internal/isa"
 // rep, when non-nil, records each pass run and how many instructions it
 // removed (negative for passes that add code, e.g. vectorize prologues).
 func optimize(blocks []*eblock, frameSafe, vectorizeOpt bool, rep *reportBuilder) {
-	count := func() int {
-		n := 0
-		for _, b := range blocks {
-			n += len(b.ins)
-		}
-		return n
-	}
-	run := func(name string, f func()) {
-		before := count()
-		f()
-		if rep != nil {
-			rep.pass(name, before, before-count())
-		}
+	o := &optimizer{blocks: blocks, rep: rep}
+	for _, b := range blocks {
+		o.live += len(b.ins)
 	}
 	// The core local passes run to a fixpoint: stop after the first full
 	// sweep that removes nothing, so already-clean code pays for exactly
 	// one verification sweep instead of a fixed pass budget. maxOptSweeps
 	// bounds pathological ping-ponging; in practice the loop converges
-	// within a few sweeps.
+	// within a few sweeps. Within a sweep the passes only mark what they
+	// remove (insMeta.dead) and step over each other's marks; the blocks
+	// are compacted once, when the sweep ends.
 	const maxOptSweeps = 8
 	for sweep := 0; sweep < maxOptSweeps; sweep++ {
-		start := count()
+		start := o.live
 		if frameSafe {
-			run("forwardFrameStores", func() {
-				for _, b := range blocks {
-					forwardFrameStores(b)
-				}
-			})
-			run("deadFrameStores", func() { deadFrameStores(blocks) })
+			o.runEach("forwardFrameStores", o.forwardFrameStores)
+			o.run("deadFrameStores", o.deadFrameStores)
 		}
-		run("copyDance", func() {
-			for _, b := range blocks {
-				copyDance(b)
-			}
-		})
-		run("addrFold", func() {
-			for _, b := range blocks {
-				addrFold(b)
-			}
-		})
-		run("deadCode", func() { deadCodeGlobal(blocks) })
-		run("redundantLoads", func() {
-			for _, b := range blocks {
-				redundantLoads(b)
-			}
-		})
-		removed := start - count()
+		o.runEach("copyDance", copyDance)
+		o.runEach("addrFold", addrFold)
+		o.run("deadCode", o.deadCodeGlobal)
+		o.runEach("redundantLoads", redundantLoads)
+		removed := start - o.live
 		if rep != nil {
 			rep.sweep(removed)
 		}
 		if removed == 0 {
 			break
 		}
+		sweepDead(blocks)
 	}
+	// The remaining passes match instruction positions, so each of them
+	// leaves the blocks compacted.
 	if frameSafe {
-		run("renameCalleeSaved", func() { renameCalleeSaved(blocks) })
-		run("removeDeadSaves", func() { removeDeadSaves(blocks) })
-		run("deadCode", func() { deadCodeGlobal(blocks) })
-		run("removeDeadSaves", func() { removeDeadSaves(blocks) })
+		o.run("renameCalleeSaved", o.renameCalleeSaved)
+		o.run("removeDeadSaves", o.removeDeadSaves)
+		o.run("deadCode", o.deadCodeGlobal)
+		sweepDead(blocks)
+		o.run("removeDeadSaves", o.removeDeadSaves)
 	}
 	if vectorizeOpt {
-		run("vectorize", func() { vectorize(blocks) })
-		run("deadCode", func() { deadCodeGlobal(blocks) })
+		o.run("vectorize", o.vectorize)
+		o.run("deadCode", o.deadCodeGlobal)
+		sweepDead(blocks)
+	}
+	// Passes rewrite operands in place and drop instructions without
+	// keeping the byte count: settle it once, for layout.
+	for _, b := range blocks {
+		b.bytes = 0
+		for i := range b.ins {
+			if n, err := isa.EncodedLen(b.ins[i]); err == nil {
+				b.bytes += n
+			}
+		}
+	}
+}
+
+// optimizer is the state of one optimize call: the blocks, the running
+// count of live (unmarked) instructions the report's pass rows are built
+// from, and scratch the passes reuse from block to block.
+type optimizer struct {
+	blocks []*eblock
+	rep    *reportBuilder
+	live   int
+
+	liveIn, liveOut []liveSet
+	stale           []bool
+	fwd             []frameFwd
+	loads           []frameSpan
+}
+
+// run executes one pass, which returns how many instructions it removed
+// (negative when it added some), and records it.
+func (o *optimizer) run(name string, pass func() int) {
+	removed := pass()
+	if o.rep != nil {
+		o.rep.pass(name, o.live, removed)
+	}
+	o.live -= removed
+}
+
+// runEach is run for a pass that works one block at a time.
+func (o *optimizer) runEach(name string, pass func(*eblock) int) {
+	o.run(name, func() int {
+		n := 0
+		for _, b := range o.blocks {
+			n += pass(b)
+		}
+		return n
+	})
+}
+
+// kill marks instruction i removed; sweepDead drops it.
+func (b *eblock) kill(i int) {
+	b.meta[i].dead = true
+	b.ndead++
+}
+
+// nextLive returns the first unmarked instruction index at or after i
+// (len(b.ins) when there is none).
+func (b *eblock) nextLive(i int) int {
+	for i < len(b.ins) && b.meta[i].dead {
+		i++
+	}
+	return i
+}
+
+// sweepDead compacts, in place, every block holding marked instructions.
+func sweepDead(blocks []*eblock) {
+	for _, b := range blocks {
+		if b.ndead == 0 {
+			continue
+		}
+		n := 0
+		for i := range b.ins {
+			if b.meta[i].dead {
+				continue
+			}
+			if n != i {
+				b.ins[n], b.meta[n] = b.ins[i], b.meta[i]
+			}
+			n++
+		}
+		b.ins, b.meta, b.ndead = b.ins[:n], b.meta[:n], 0
 	}
 }
 
@@ -98,7 +164,7 @@ func optimize(blocks []*eblock, frameSafe, vectorizeOpt bool, rep *reportBuilder
 //
 // The mov/addi become dead and are removed by deadCode. A tiny local value
 // numbering with generation counters keeps the rewrite sound.
-func addrFold(b *eblock) {
+func addrFold(b *eblock) int {
 	type expr struct {
 		valid   bool
 		hasBase bool
@@ -143,6 +209,9 @@ func addrFold(b *eblock) {
 		*m = isa.Abs(int32(nd))
 	}
 	for i := range b.ins {
+		if b.meta[i].dead {
+			continue
+		}
 		in := &b.ins[i]
 		// Fold the memory operand first (uses pre-instruction state).
 		switch isa.Info(in.Op).Format {
@@ -181,10 +250,8 @@ func addrFold(b *eblock) {
 				kill(d)
 			}
 		default:
-			for _, dreg := range insDefs(*in) {
-				if dreg.file == isa.RFInt {
-					kill(dreg.reg)
-				}
+			for defs := insDefs(in).ints(); defs != 0; {
+				kill(defs.nextReg())
 			}
 			if isBarrier(in.Op) {
 				for r := range exprs {
@@ -193,6 +260,7 @@ func addrFold(b *eblock) {
 			}
 		}
 	}
+	return 0
 }
 
 // --- register renaming ---
@@ -202,63 +270,58 @@ func addrFold(b *eblock) {
 // sequences dead (the paper's Section VIII "register renaming" next step).
 // Only valid when the code contains no calls (a call would clobber the
 // caller-saved replacement).
-func renameCalleeSaved(blocks []*eblock) {
+func (o *optimizer) renameCalleeSaved() int {
+	blocks := o.blocks
+	var used regMask
 	for _, b := range blocks {
-		for _, in := range b.ins {
+		for i := range b.ins {
+			in := &b.ins[i]
 			if in.Op == isa.CALL || in.Op == isa.CALLR {
-				return
+				return 0
 			}
+			used |= insUses(in) | insDefs(in)
 		}
 	}
-	usedInt := map[isa.Reg]bool{}
-	usedFloat := map[isa.Reg]bool{}
-	for _, b := range blocks {
-		for _, in := range b.ins {
-			for _, u := range insUses(in) {
-				markUsed(u, usedInt, usedFloat)
-			}
-			for _, d := range insDefs(in) {
-				markUsed(d, usedInt, usedFloat)
-			}
-		}
-	}
-	freeFloat := func() (isa.Reg, bool) {
+	// free hands out an unused caller-saved register of one file (never
+	// register 0, the return register; never SP).
+	free := func(file isa.RegFile, callerSaved func(isa.Reg) bool) (isa.Reg, bool) {
 		for r := isa.Reg(1); r < isa.NumRegs; r++ {
-			if isa.CallerSavedFloat(r) && !usedFloat[r] {
-				usedFloat[r] = true
+			bit := regBit(file, r)
+			if callerSaved(r) && used&bit == 0 && !(file == isa.RFInt && r == isa.SP) {
+				used |= bit
 				return r, true
 			}
 		}
 		return 0, false
 	}
-	freeInt := func() (isa.Reg, bool) {
-		for r := isa.Reg(1); r < isa.NumRegs; r++ {
-			if r != isa.SP && isa.CallerSavedInt(r) && !usedInt[r] {
-				usedInt[r] = true
-				return r, true
+	clearMarks := func() {
+		for _, b := range blocks {
+			for i := range b.meta {
+				b.meta[i].mark = false
 			}
 		}
-		return 0, false
 	}
+	removed := 0
 
 	// Float save/restore pairs: FSTORE [sp+X], fR early in the entry
 	// block (before any other use of fR), FLOAD fR, [sp+X] in every RET
-	// block with no later use of fR. Process one pair at a time because
-	// deleting instructions shifts indices.
+	// block with no later use of fR. The pair is marked, the marks stand in
+	// for "as if removed" while the body is checked, and a successful
+	// rename turns them into removals. One pair at a time: removal shifts
+	// the indices floatSaves reports.
 	entry := blocks[0]
-	for {
-		renamed := false
+	for renamed := true; renamed; {
+		renamed = false
 		for _, cand := range floatSaves(entry) {
 			fR, disp := cand.reg, cand.disp
-			restores := map[*eblock]int{}
-			ok := true
+			ok, restores := true, 0
 			for _, b := range blocks {
-				if len(b.ins) == 0 || b.ins[len(b.ins)-1].Op != isa.RET {
+				if !b.returns() {
 					continue
 				}
 				idx := -1
-				for i, in := range b.ins {
-					if in.Op == isa.FLOAD && in.Dst.Reg == fR &&
+				for i := range b.ins {
+					if in := &b.ins[i]; in.Op == isa.FLOAD && in.Dst.Reg == fR &&
 						in.Src.Mem.Base == isa.SP && !in.Src.Mem.HasIndex() && in.Src.Mem.Disp == disp {
 						idx = i
 					}
@@ -268,49 +331,36 @@ func renameCalleeSaved(blocks []*eblock) {
 					break
 				}
 				for i := idx + 1; i < len(b.ins); i++ {
-					for _, u := range insUses(b.ins[i]) {
-						if u == (regRef{isa.RFFloat, fR}) {
-							ok = false
-						}
+					if insUses(&b.ins[i])&floatBit(fR) != 0 {
+						ok = false
 					}
 				}
-				restores[b] = idx
+				b.meta[idx].mark = true
+				restores++
 			}
-			if !ok || len(restores) == 0 {
-				continue
-			}
+			entry.meta[cand.idx].mark = true
 			// The body must never read the *incoming* value of fR:
 			// renaming would then read garbage.
-			skip := func(b *eblock, i int) bool {
-				if b == entry && i == cand.idx {
-					return true
-				}
-				ri, isR := restores[b]
-				return isR && i == ri
-			}
-			if readsIncoming(blocks, regRef{isa.RFFloat, fR}, skip) {
-				continue
-			}
-			nr, found := freeFloat()
-			if !found {
-				continue
-			}
-			for _, b := range blocks {
-				dead := make([]bool, len(b.ins))
-				for i := range b.ins {
-					if skip(b, i) {
-						dead[i] = true
-						continue
+			if ok && restores > 0 && !readsIncoming(blocks, floatBit(fR)) {
+				if nr, found := free(isa.RFFloat, isa.CallerSavedFloat); found {
+					for _, b := range blocks {
+						for i := range b.ins {
+							if b.meta[i].mark {
+								b.kill(i)
+								removed++
+							} else {
+								renameFloatReg(&b.ins[i], fR, nr)
+							}
+						}
 					}
-					renameFloatReg(&b.ins[i], fR, nr)
+					sweepDead(blocks)
+					renamed = true
 				}
-				compactBlock(b, dead)
 			}
-			renamed = true
-			break
-		}
-		if !renamed {
-			break
+			clearMarks()
+			if renamed {
+				break
+			}
 		}
 	}
 
@@ -325,93 +375,80 @@ func renameCalleeSaved(blocks []*eblock) {
 	// scratch writes clobber the outer live value. A register with any
 	// PUSH/POP occurrence outside the prologue/epilogue is therefore not
 	// a rename candidate.
-	var pushedOrder []isa.Reg
 	start := 0
 	for start < len(entry.ins) && entry.ins[start].Op == isa.CALL {
 		start++
 	}
+	var pushedOrder []isa.Reg
 	for i := start; i < len(entry.ins) && entry.ins[i].Op == isa.PUSH; i++ {
+		entry.meta[i].mark = true
 		pushedOrder = append(pushedOrder, entry.ins[i].Dst.Reg)
 	}
-	saveRestore := map[*eblock]map[int]bool{entry: {}}
-	for i := start; i < len(entry.ins) && entry.ins[i].Op == isa.PUSH; i++ {
-		saveRestore[entry][i] = true
-	}
 	for _, b := range blocks {
-		if len(b.ins) == 0 || b.ins[len(b.ins)-1].Op != isa.RET {
+		if !b.returns() {
 			continue
 		}
 		end := len(b.ins) - 1
 		for end > 0 && b.ins[end-1].Op == isa.CALL {
 			end-- // exit-handler call between pops and RET
 		}
-		if saveRestore[b] == nil {
-			saveRestore[b] = map[int]bool{}
-		}
 		for i := end - 1; i >= 0 && b.ins[i].Op == isa.POP; i-- {
-			saveRestore[b][i] = true
+			b.meta[i].mark = true
 		}
 	}
-	skipSaveRestore := func(b *eblock, i int) bool {
-		return saveRestore[b] != nil && saveRestore[b][i]
-	}
-	innerPushPop := func(r isa.Reg) bool {
-		for _, b := range blocks {
-			for i, in := range b.ins {
-				if (in.Op == isa.PUSH || in.Op == isa.POP) && in.Dst.Reg == r &&
-					!skipSaveRestore(b, i) {
-					return true
-				}
+	// inner: registers pushed or popped anywhere else.
+	var inner regMask
+	for _, b := range blocks {
+		for i := range b.ins {
+			if in := &b.ins[i]; (in.Op == isa.PUSH || in.Op == isa.POP) && !b.meta[i].mark {
+				inner |= intBit(in.Dst.Reg)
 			}
 		}
-		return false
 	}
 	for _, r := range pushedOrder {
-		if !isa.CalleeSavedInt(r) || innerPushPop(r) {
+		if !isa.CalleeSavedInt(r) || inner&intBit(r) != 0 || readsIncoming(blocks, intBit(r)) {
 			continue
 		}
-		if readsIncoming(blocks, regRef{isa.RFInt, r}, skipSaveRestore) {
-			continue
-		}
-		nr, found := freeInt()
+		nr, found := free(isa.RFInt, isa.CallerSavedInt)
 		if !found {
 			continue
 		}
 		for _, b := range blocks {
 			for i := range b.ins {
-				if skipSaveRestore(b, i) {
-					continue
+				if !b.meta[i].mark {
+					renameIntReg(&b.ins[i], r, nr)
 				}
-				renameIntReg(&b.ins[i], r, nr)
 			}
 		}
 	}
+	clearMarks()
+	return removed
+}
+
+// returns reports whether the block's last instruction is RET.
+func (b *eblock) returns() bool {
+	return len(b.ins) > 0 && b.ins[len(b.ins)-1].Op == isa.RET
 }
 
 // readsIncoming reports whether any execution path from the entry may read
-// register r before writing it (ignoring instructions skip selects, such
-// as save/restore pairs). Backward may-analysis over the block graph.
-func readsIncoming(blocks []*eblock, r regRef, skip func(*eblock, int) bool) bool {
+// register r before writing it, ignoring marked instructions (save/restore
+// pairs under consideration). Backward may-analysis over the block graph.
+func readsIncoming(blocks []*eblock, r regMask) bool {
 	// needIn[b]: executing from b's start may read r before writing it.
 	needIn := make([]bool, len(blocks))
-	localNeed := make([]int, len(blocks)) // 1 reads-first, -1 writes-first, 0 transparent
+	localNeed := make([]int8, len(blocks)) // 1 reads-first, -1 writes-first, 0 transparent
 	for bi, b := range blocks {
-	scan:
-		for i, in := range b.ins {
-			if skip != nil && skip(b, i) {
+		for i := range b.ins {
+			if b.meta[i].mark {
 				continue
 			}
-			for _, u := range insUses(in) {
-				if u == r {
-					localNeed[bi] = 1
-					break scan
-				}
+			if insUses(&b.ins[i])&r != 0 {
+				localNeed[bi] = 1
+				break
 			}
-			for _, d := range insDefs(in) {
-				if d == r {
-					localNeed[bi] = -1
-					break scan
-				}
+			if insDefs(&b.ins[i])&r != 0 {
+				localNeed[bi] = -1
+				break
 			}
 		}
 	}
@@ -450,35 +487,18 @@ type floatSave struct {
 // occur before any other use or definition of the register.
 func floatSaves(entry *eblock) []floatSave {
 	var out []floatSave
-	seen := map[isa.Reg]bool{}
-	for i, in := range entry.ins {
+	var seen regMask
+	for i := range entry.ins {
+		in := &entry.ins[i]
 		if in.Op == isa.FSTORE && in.Dst.Mem.Base == isa.SP && !in.Dst.Mem.HasIndex() &&
-			isa.CalleeSavedFloat(in.Src.Reg) && !seen[in.Src.Reg] {
+			isa.CalleeSavedFloat(in.Src.Reg) && seen&floatBit(in.Src.Reg) == 0 {
 			out = append(out, floatSave{idx: i, reg: in.Src.Reg, disp: in.Dst.Mem.Disp})
-			seen[in.Src.Reg] = true
+			seen |= floatBit(in.Src.Reg)
 			continue
 		}
-		for _, u := range insUses(in) {
-			if u.file == isa.RFFloat {
-				seen[u.reg] = true
-			}
-		}
-		for _, d := range insDefs(in) {
-			if d.file == isa.RFFloat {
-				seen[d.reg] = true
-			}
-		}
+		seen |= insUses(in) | insDefs(in)
 	}
 	return out
-}
-
-func markUsed(r regRef, ints, floats map[isa.Reg]bool) {
-	switch r.file {
-	case isa.RFInt:
-		ints[r.reg] = true
-	case isa.RFFloat:
-		floats[r.reg] = true
-	}
 }
 
 func renameFloatReg(in *isa.Instr, from, to isa.Reg) {
@@ -517,67 +537,85 @@ func renameIntReg(in *isa.Instr, from, to isa.Reg) {
 
 // --- store-to-load forwarding (frame slots) ---
 
+// frameFwd says that the frame slot at SP displacement disp was just stored
+// from a register that still holds the value.
+type frameFwd struct {
+	disp  int32
+	reg   isa.Reg
+	float bool
+}
+
 // forwardFrameStores replaces a load from a frame slot with a register
 // move (or nothing) when the slot was just stored from a register that
 // still holds the value. Only SP-based, index-free accesses participate;
 // with frameSafe, non-frame stores cannot alias them.
-func forwardFrameStores(b *eblock) {
-	type fwd struct {
-		reg   isa.Reg
-		float bool
-		ok    bool
-	}
-	avail := map[int32]fwd{} // keyed by SP displacement
-	dead := make([]bool, len(b.ins))
-	invalidateReg := func(r regRef) {
-		for k, f := range avail {
-			if f.ok && f.reg == r.reg && (f.float == (r.file == isa.RFFloat)) {
-				delete(avail, k)
+func (o *optimizer) forwardFrameStores(b *eblock) int {
+	avail := o.fwd[:0]
+	// drop forgets every forwarding a predicate selects.
+	drop := func(gone func(frameFwd) bool) {
+		for k := 0; k < len(avail); {
+			if gone(avail[k]) {
+				avail[k] = avail[len(avail)-1]
+				avail = avail[:len(avail)-1]
+			} else {
+				k++
 			}
 		}
 	}
+	dropNear := func(disp, reach int32) {
+		drop(func(f frameFwd) bool { return f.disp > disp-reach && f.disp < disp+reach })
+	}
+	// A vector definition also drops the integer forwarding of the same
+	// register number: the map-based pass matched "not float" on the number
+	// alone, and its decisions are kept.
+	dropRegs := func(defs regMask) {
+		drop(func(f frameFwd) bool {
+			if f.float {
+				return defs&floatBit(f.reg) != 0
+			}
+			return defs&(intBit(f.reg)|regBit(isa.RFVec, f.reg)) != 0
+		})
+	}
+	removed := 0
 	for i := range b.ins {
+		if b.meta[i].dead {
+			continue
+		}
 		ins := &b.ins[i]
 		switch ins.Op {
 		case isa.STORE, isa.FSTORE:
-			m := ins.Dst.Mem
-			if m.Base == isa.SP && !m.HasIndex() {
+			if m := ins.Dst.Mem; m.Base == isa.SP && !m.HasIndex() {
 				// Overlapping slots are invalidated.
-				for k := range avail {
-					if k > m.Disp-8 && k < m.Disp+8 {
-						delete(avail, k)
-					}
-				}
-				avail[m.Disp] = fwd{reg: ins.Src.Reg, float: ins.Op == isa.FSTORE, ok: true}
-				continue
+				dropNear(m.Disp, 8)
+				avail = append(avail, frameFwd{disp: m.Disp, reg: ins.Src.Reg, float: ins.Op == isa.FSTORE})
 			}
 			// Non-frame store: cannot alias the private frame (frameSafe).
 			continue
 		case isa.STOREB, isa.VSTORE:
-			m := ins.Dst.Mem
-			if m.Base == isa.SP && !m.HasIndex() {
-				for k := range avail {
-					if k > m.Disp-int32(8*isa.VecLanes) && k < m.Disp+int32(8*isa.VecLanes) {
-						delete(avail, k)
-					}
-				}
+			if m := ins.Dst.Mem; m.Base == isa.SP && !m.HasIndex() {
+				dropNear(m.Disp, 8*isa.VecLanes)
 			}
 			continue
 		case isa.LOAD, isa.FLOAD:
-			m := ins.Src.Mem
-			if m.Base == isa.SP && !m.HasIndex() {
-				if f, ok := avail[m.Disp]; ok && f.ok && f.float == (ins.Op == isa.FLOAD) {
-					if f.reg == ins.Dst.Reg {
-						dead[i] = true
+			if m := ins.Src.Mem; m.Base == isa.SP && !m.HasIndex() {
+				k := 0
+				for k < len(avail) && avail[k].disp != m.Disp {
+					k++
+				}
+				if k < len(avail) && avail[k].float == (ins.Op == isa.FLOAD) {
+					if f := avail[k]; f.reg == ins.Dst.Reg {
+						b.kill(i)
+						removed++
 					} else {
 						op := isa.MOV
-						if ins.Op == isa.FLOAD {
+						if f.float {
 							op = isa.FMOV
 						}
 						*ins = isa.MakeRR(op, ins.Dst.Reg, f.reg)
 						b.meta[i] = insMeta{}
-						invalidateReg(regRef{fileOf(ins.Op), ins.Dst.Reg})
-						avail[m.Disp] = f // still valid
+						// The slot's forwarding survives; those from the
+						// overwritten register do not.
+						dropRegs(insDefs(ins))
 					}
 					continue
 				}
@@ -585,72 +623,79 @@ func forwardFrameStores(b *eblock) {
 		case isa.PUSH, isa.POP:
 			// SP changes: displacement keys are relative to SP, so all
 			// tracked slots shift meaning.
-			avail = map[int32]fwd{}
+			avail = avail[:0]
 		}
 		if isBarrier(ins.Op) {
-			avail = map[int32]fwd{}
+			avail = avail[:0]
 		}
-		for _, d := range insDefs(b.ins[i]) {
-			if d.reg == isa.SP && d.file == isa.RFInt {
-				avail = map[int32]fwd{}
-				break
-			}
-			invalidateReg(d)
+		if defs := insDefs(ins); defs&intBit(isa.SP) != 0 {
+			avail = avail[:0]
+		} else if defs != 0 {
+			dropRegs(defs)
 		}
 	}
-	compactBlock(b, dead)
-}
-
-func fileOf(op isa.Opcode) isa.RegFile {
-	if op == isa.FLOAD || op == isa.FMOV {
-		return isa.RFFloat
-	}
-	return isa.RFInt
+	o.fwd = avail[:0]
+	return removed
 }
 
 // --- dead frame stores ---
 
+// frameSpan is a byte range of the frame, as deltas from the entry SP.
+type frameSpan struct{ lo, hi int64 }
+
 // deadFrameStores removes plain stores into private frame slots (delta
 // below the entry SP) that no emitted load ever reads.
-func deadFrameStores(blocks []*eblock) {
-	type span struct{ lo, hi int64 }
-	var loads []span
-	for _, b := range blocks {
+func (o *optimizer) deadFrameStores() int {
+	// Every loaded range, sorted and merged into disjoint spans, so that
+	// "does any load read this store" is one binary search.
+	loads := o.loads[:0]
+	for _, b := range o.blocks {
 		for i := range b.meta {
-			if m := b.meta[i]; m.frameLoad {
-				loads = append(loads, span{m.delta, m.delta + m.size})
+			if m := b.meta[i]; m.frameLoad && !m.dead {
+				loads = append(loads, m.span())
 			}
 		}
 	}
-	overlapsLoad := func(lo, hi int64) bool {
-		for _, l := range loads {
-			if lo < l.hi && l.lo < hi {
-				return true
-			}
+	slices.SortFunc(loads, func(a, b frameSpan) int { return cmp.Compare(a.lo, b.lo) })
+	merged := loads[:0]
+	for _, l := range loads {
+		if n := len(merged); n > 0 && l.lo <= merged[n-1].hi {
+			merged[n-1].hi = max(merged[n-1].hi, l.hi)
+		} else {
+			merged = append(merged, l)
 		}
-		return false
 	}
-	for _, b := range blocks {
-		dead := make([]bool, len(b.ins))
+	o.loads = loads
+	overlapsLoad := func(st frameSpan) bool {
+		// First span ending above st.lo; spans are disjoint, so it is the
+		// only candidate.
+		i, _ := slices.BinarySearchFunc(merged, st.lo, func(s frameSpan, lo int64) int {
+			if s.hi > lo {
+				return 1
+			}
+			return -1
+		})
+		return i < len(merged) && merged[i].lo < st.hi
+	}
+	removed := 0
+	for _, b := range o.blocks {
 		for i := range b.ins {
-			if i >= len(b.meta) {
-				break
-			}
 			m := b.meta[i]
-			if !m.frameStore || m.delta >= 0 {
+			if m.dead || !m.frameStore || m.delta >= 0 {
 				continue
 			}
 			switch b.ins[i].Op {
 			case isa.STORE, isa.STOREB, isa.FSTORE, isa.VSTORE:
-				if !overlapsLoad(m.delta, m.delta+m.size) {
-					dead[i] = true
+				if !overlapsLoad(m.span()) {
+					b.kill(i)
+					removed++
 				}
 			}
 			// PUSH also stores, but carries an SP side effect; dead
 			// save/restore pairs are removed by removeDeadSaves.
 		}
-		compactBlock(b, dead)
 	}
+	return removed
 }
 
 // --- copy-dance coalescing ---
@@ -661,14 +706,16 @@ func deadFrameStores(blocks []*eblock) {
 //	mov t, a ; op t, b ; mov a, t   ->   op a, b
 //
 // when t is not read again before being overwritten in the block.
-func copyDance(b *eblock) {
-	dead := make([]bool, len(b.ins))
-	for i := 0; i+2 < len(b.ins); i++ {
-		c1, c2, c3 := b.ins[i], b.ins[i+1], b.ins[i+2]
-		if dead[i] || dead[i+1] || dead[i+2] {
-			continue
+func copyDance(b *eblock) int {
+	removed := 0
+	isCopy := func(in *isa.Instr) bool { return in.Op == isa.MOV || in.Op == isa.FMOV }
+	for i := b.nextLive(0); i < len(b.ins); i = b.nextLive(i + 1) {
+		j := b.nextLive(i + 1)
+		k := b.nextLive(j + 1)
+		if k >= len(b.ins) {
+			break
 		}
-		isCopy := func(in isa.Instr) bool { return in.Op == isa.MOV || in.Op == isa.FMOV }
+		c1, c2, c3 := &b.ins[i], &b.ins[j], &b.ins[k]
 		if !isCopy(c1) || !isCopy(c3) || c1.Op != c3.Op {
 			continue
 		}
@@ -694,18 +741,18 @@ func copyDance(b *eblock) {
 			continue // op reads a: rewriting would read the new a mid-op
 		}
 		// t must not be read later before being redefined.
-		if regReadBeforeRedefined(b, i+3, regRef{wantFile, t}) {
+		if regReadBeforeRedefined(b, k+1, regRef{wantFile, t}) {
 			continue
 		}
-		n2 := c2
-		n2.Dst.Reg = a
 		if info.Format == isa.FRR && c2.Src.Reg == t && info.SrcFile == wantFile {
-			n2.Src.Reg = a
+			c2.Src.Reg = a
 		}
-		b.ins[i+1] = n2
-		dead[i], dead[i+2] = true, true
+		c2.Dst.Reg = a
+		b.kill(i)
+		b.kill(k)
+		removed += 2
 	}
-	compactBlock(b, dead)
+	return removed
 }
 
 func isALUish(op isa.Opcode) bool {
@@ -725,23 +772,23 @@ func isALUish(op isa.Opcode) bool {
 // block ends without redefinition, unless it ends in RET and r is
 // ABI-dead there).
 func regReadBeforeRedefined(b *eblock, from int, r regRef) bool {
+	bit := r.bit()
 	for j := from; j < len(b.ins); j++ {
-		in := b.ins[j]
+		if b.meta[j].dead {
+			continue
+		}
+		in := &b.ins[j]
 		if isBarrier(in.Op) && in.Op != isa.RET {
 			return true // call may consume anything
 		}
-		for _, u := range insUses(in) {
-			if u == r {
-				return true
-			}
+		if insUses(in)&bit != 0 {
+			return true
 		}
 		if in.Op == isa.RET {
 			return !abiDeadAtReturn(r)
 		}
-		for _, d := range insDefs(in) {
-			if d == r {
-				return false
-			}
+		if insDefs(in)&bit != 0 {
+			return false
 		}
 	}
 	return true // live out of the block (conservative)
@@ -763,153 +810,118 @@ func abiDeadAtReturn(r regRef) bool {
 // --- liveness-based dead code elimination ---
 
 // liveSet is a register set with an "everything" top element (used around
-// calls, whose callees may read any register).
+// calls, whose callees may read any register). all is sticky: removing a
+// definition from the set does not lower it.
 type liveSet struct {
+	mask regMask
 	all  bool
-	regs map[regRef]bool
 	flag bool // condition flags live
 }
 
-func (s *liveSet) has(r regRef) bool { return s.all || s.regs[r] }
-
-func (s *liveSet) clone() *liveSet {
-	n := &liveSet{all: s.all, flag: s.flag, regs: make(map[regRef]bool, len(s.regs))}
-	for k := range s.regs {
-		n.regs[k] = true
-	}
-	return n
-}
-
-func (s *liveSet) union(o *liveSet) bool {
-	changed := false
-	if o.all && !s.all {
-		s.all = true
-		changed = true
-	}
-	if o.flag && !s.flag {
-		s.flag = true
-		changed = true
-	}
-	for k := range o.regs {
-		if !s.regs[k] {
-			s.regs[k] = true
-			changed = true
-		}
-	}
+func (s *liveSet) union(o liveSet) bool {
+	changed := (o.all && !s.all) || (o.flag && !s.flag) || o.mask&^s.mask != 0
+	s.all = s.all || o.all
+	s.flag = s.flag || o.flag
+	s.mask |= o.mask
 	return changed
 }
 
 // abiReturnLive is the live-out set of a returning block: the return
 // registers, SP, and everything callee-saved.
-func abiReturnLive() *liveSet {
-	s := &liveSet{regs: map[regRef]bool{}}
-	s.regs[regRef{isa.RFInt, isa.R0}] = true
-	s.regs[regRef{isa.RFFloat, 0}] = true
-	s.regs[regRef{isa.RFInt, isa.SP}] = true
+var abiReturnLive = func() liveSet {
+	s := liveSet{mask: intBit(isa.R0) | floatBit(0) | intBit(isa.SP)}
 	for r := isa.Reg(0); r < isa.NumRegs; r++ {
 		if isa.CalleeSavedInt(r) {
-			s.regs[regRef{isa.RFInt, r}] = true
+			s.mask |= intBit(r)
 		}
 		if isa.CalleeSavedFloat(r) {
-			s.regs[regRef{isa.RFFloat, r}] = true
+			s.mask |= floatBit(r)
 		}
 	}
 	return s
-}
+}()
 
-// scanBackward walks a block from its live-out to its live-in, optionally
-// marking removable pure instructions in dead.
-func scanBackward(b *eblock, out *liveSet, dead []bool) *liveSet {
-	live := out.clone()
+// scanBackward walks a block from its live-out to its live-in, marking
+// removable pure instructions when kill is set.
+func scanBackward(b *eblock, live liveSet, kill bool) (in liveSet, removed int) {
 	for i := len(b.ins) - 1; i >= 0; i-- {
-		in := b.ins[i]
-		defs := insDefs(in)
-		if dead != nil && isPure(in.Op) && len(defs) > 0 && !live.all {
-			needed := false
-			for _, d := range defs {
-				if live.has(d) {
-					needed = true
-					break
-				}
-			}
-			if isa.SetsFlags(in.Op) && live.flag {
-				needed = true
-			}
-			if !needed {
-				dead[i] = true
-				continue
-			}
+		if b.meta[i].dead {
+			continue
 		}
-		if in.Op == isa.CALL || in.Op == isa.CALLR {
+		ins := &b.ins[i]
+		defs := insDefs(ins)
+		if kill && defs != 0 && !live.all && isPure(ins.Op) &&
+			live.mask&defs == 0 && !(isa.SetsFlags(ins.Op) && live.flag) {
+			b.kill(i)
+			removed++
+			continue
+		}
+		if ins.Op == isa.CALL || ins.Op == isa.CALLR {
 			live.all = true
 			live.flag = false
 		}
-		if isa.ReadsFlags(in.Op) {
+		if isa.ReadsFlags(ins.Op) {
 			live.flag = true
-		} else if isa.SetsFlags(in.Op) {
+		} else if isa.SetsFlags(ins.Op) {
 			live.flag = false
 		}
-		for _, d := range defs {
-			delete(live.regs, d)
-		}
-		for _, u := range insUses(in) {
-			live.regs[u] = true
-		}
+		live.mask = live.mask&^defs | insUses(ins)
 	}
-	return live
+	return live, removed
 }
 
 // deadCodeGlobal removes pure instructions whose results are never used,
 // using liveness computed across the whole block graph. Returning blocks
 // end with the ABI live set (caller-saved registers other than the return
 // registers are dead); the flags are live into a conditional terminator.
-func deadCodeGlobal(blocks []*eblock) {
-	n := len(blocks)
-	liveIn := make([]*liveSet, n)
-	liveOut := make([]*liveSet, n)
+func (o *optimizer) deadCodeGlobal() int {
+	blocks, n := o.blocks, len(o.blocks)
+	if cap(o.liveIn) < n {
+		o.liveIn, o.liveOut, o.stale = make([]liveSet, n), make([]liveSet, n), make([]bool, n)
+	}
+	liveIn, liveOut, stale := o.liveIn[:n], o.liveOut[:n], o.stale[:n]
 	for i, b := range blocks {
 		switch {
-		case b.term == termEnd && len(b.ins) > 0 && b.ins[len(b.ins)-1].Op == isa.RET:
-			liveOut[i] = abiReturnLive()
+		case b.term == termEnd && b.returns():
+			liveOut[i] = abiReturnLive
 		case b.term == termEnd:
 			// HALT or failure tail: nothing provably read afterwards,
 			// but stay conservative.
-			liveOut[i] = &liveSet{all: true, regs: map[regRef]bool{}}
+			liveOut[i] = liveSet{all: true}
 		default:
-			liveOut[i] = &liveSet{regs: map[regRef]bool{}, flag: b.term == termJcc}
+			liveOut[i] = liveSet{flag: b.term == termJcc}
 		}
-		liveIn[i] = &liveSet{regs: map[regRef]bool{}}
+		liveIn[i] = liveSet{}
+		stale[i] = true
 	}
-	changed := true
-	for changed {
+	// A block's live-in is a function of its live-out alone, so a block
+	// is rescanned only when its live-out grew since its last scan.
+	for changed := true; changed; {
 		changed = false
 		for i := n - 1; i >= 0; i-- {
 			b := blocks[i]
-			if b.term == termFall && b.succ >= 0 {
-				if liveOut[i].union(liveIn[b.succ]) {
-					changed = true
-				}
+			if b.term != termEnd && b.succ >= 0 && liveOut[i].union(liveIn[b.succ]) {
+				stale[i] = true
 			}
-			if b.term == termJcc {
-				if b.succ >= 0 && liveOut[i].union(liveIn[b.succ]) {
-					changed = true
-				}
-				if b.jcc >= 0 && liveOut[i].union(liveIn[b.jcc]) {
-					changed = true
-				}
-				liveOut[i].flag = true
+			if b.term == termJcc && b.jcc >= 0 && liveOut[i].union(liveIn[b.jcc]) {
+				stale[i] = true
 			}
-			in := scanBackward(b, liveOut[i], nil)
+			if !stale[i] {
+				continue
+			}
+			stale[i] = false
+			in, _ := scanBackward(b, liveOut[i], false)
 			if liveIn[i].union(in) {
 				changed = true
 			}
 		}
 	}
+	removed := 0
 	for i, b := range blocks {
-		dead := make([]bool, len(b.ins))
-		scanBackward(b, liveOut[i], dead)
-		compactBlock(b, dead)
+		_, k := scanBackward(b, liveOut[i], true)
+		removed += k
 	}
+	return removed
 }
 
 // isPure reports whether an instruction only writes registers (and flags):
@@ -935,75 +947,69 @@ func isPure(op isa.Opcode) bool {
 // loaded into the same register immediately before, with no intervening
 // stores, calls or writes to the operand's registers (Section V.B:
 // "instruction reordering removing redundant loads").
-func redundantLoads(b *eblock) {
-	n := len(b.ins)
-	dead := make([]bool, n)
-	type lastLoad struct {
-		op  isa.Opcode
-		mem isa.MemRef
-		ok  bool
-	}
-	var last [isa.NumRegs]lastLoad  // integer file
-	var lastF [isa.NumRegs]lastLoad // float file
-	invalidateAll := func() {
-		for i := range last {
-			last[i].ok = false
-			lastF[i].ok = false
+func redundantLoads(b *eblock) int {
+	// from[r] is the operand integer register r was last loaded from, reads
+	// the registers that operand names, and cur the set of r for which the
+	// load is still current; fromF, readsF and curF the same for the float
+	// file.
+	var from, fromF [isa.NumRegs]isa.MemRef
+	var reads, readsF [isa.NumRegs]regMask
+	var cur, curF regMask
+	invalidate := func(defs regMask) {
+		curF &^= defs.floats()
+		id := defs.ints()
+		if id == 0 {
+			return
 		}
-	}
-	invalidateReg := func(r regRef) {
-		switch r.file {
-		case isa.RFInt:
-			last[r.reg].ok = false
-			for i := range last {
-				if last[i].ok && memUsesReg(last[i].mem, r.reg) {
-					last[i].ok = false
-				}
-				if lastF[i].ok && memUsesReg(lastF[i].mem, r.reg) {
-					lastF[i].ok = false
-				}
+		cur &^= id
+		for m := cur; m != 0; {
+			if r := m.nextReg(); reads[r]&id != 0 {
+				cur &^= intBit(r)
 			}
-		case isa.RFFloat:
-			lastF[r.reg].ok = false
+		}
+		for m := curF; m != 0; {
+			if r := m.nextReg(); readsF[r]&id != 0 {
+				curF &^= intBit(r)
+			}
 		}
 	}
-	for i := 0; i < n; i++ {
-		ins := b.ins[i]
-		switch ins.Op {
+	removed := 0
+	for i := range b.ins {
+		if b.meta[i].dead {
+			continue
+		}
+		ins := &b.ins[i]
+		switch dst := ins.Dst.Reg; ins.Op {
 		case isa.LOAD:
-			if l := last[ins.Dst.Reg]; l.ok && l.op == isa.LOAD && l.mem == ins.Src.Mem {
-				dead[i] = true
+			if cur&intBit(dst) != 0 && from[dst] == ins.Src.Mem {
+				b.kill(i)
+				removed++
 				continue
 			}
-			for _, d := range insDefs(ins) {
-				invalidateReg(d)
-			}
-			if !memUsesReg(ins.Src.Mem, ins.Dst.Reg) {
-				last[ins.Dst.Reg] = lastLoad{isa.LOAD, ins.Src.Mem, true}
+			invalidate(intBit(dst))
+			if r := memRegs(ins.Src.Mem); r&intBit(dst) == 0 {
+				from[dst], reads[dst] = ins.Src.Mem, r
+				cur |= intBit(dst)
 			}
 			continue
 		case isa.FLOAD:
-			if l := lastF[ins.Dst.Reg]; l.ok && l.op == isa.FLOAD && l.mem == ins.Src.Mem {
-				dead[i] = true
+			if curF&intBit(dst) != 0 && fromF[dst] == ins.Src.Mem {
+				b.kill(i)
+				removed++
 				continue
 			}
-			lastF[ins.Dst.Reg] = lastLoad{isa.FLOAD, ins.Src.Mem, true}
+			fromF[dst], readsF[dst] = ins.Src.Mem, memRegs(ins.Src.Mem)
+			curF |= intBit(dst)
 			continue
 		case isa.STORE, isa.STOREB, isa.FSTORE, isa.VSTORE, isa.PUSH, isa.POP:
-			invalidateAll()
+			cur, curF = 0, 0
 		}
 		if isBarrier(ins.Op) {
-			invalidateAll()
+			cur, curF = 0, 0
 		}
-		for _, d := range insDefs(ins) {
-			invalidateReg(d)
-		}
+		invalidate(insDefs(ins))
 	}
-	compactBlock(b, dead)
-}
-
-func memUsesReg(m isa.MemRef, r isa.Reg) bool {
-	return (m.HasBase() && m.Base == r) || (m.HasIndex() && m.Index == r)
+	return removed
 }
 
 // --- dead callee-saved saves and frame shrinking ---
@@ -1014,9 +1020,10 @@ func memUsesReg(m isa.MemRef, r isa.Reg) bool {
 // displacements are rebased accordingly. This is the payoff the paper
 // sketches as "register renaming ... avoiding register spills to the
 // stack" (Sections IV and VIII).
-func removeDeadSaves(blocks []*eblock) {
+func (o *optimizer) removeDeadSaves() int {
+	blocks := o.blocks
 	if len(blocks) == 0 {
-		return
+		return 0
 	}
 	// Removing prologue pushes shifts the private frame up uniformly.
 	// That is invisible as long as every remaining SP-relative access
@@ -1025,176 +1032,138 @@ func removeDeadSaves(blocks []*eblock) {
 	// would land 8 bytes off per removed push, so their presence blocks
 	// the pass.
 	for _, b := range blocks {
-		for i, in := range b.ins {
-			if !usesSPMem(in) {
+		for i := range b.ins {
+			if !usesSPMem(&b.ins[i]) {
 				continue
 			}
-			if i >= len(b.meta) {
-				return
-			}
-			m := b.meta[i]
-			if !(m.frameLoad || m.frameStore) || m.delta >= 0 {
-				return
+			if m := b.meta[i]; !(m.frameLoad || m.frameStore) || m.delta >= 0 {
+				return 0
 			}
 		}
 	}
 	entry := blocks[0]
 	// Locate the prologue push run (allowing a leading handler call).
-	start := 0
-	for start < len(entry.ins) && entry.ins[start].Op == isa.CALL {
-		start++
+	first := 0
+	for first < len(entry.ins) && entry.ins[first].Op == isa.CALL {
+		first++
 	}
-	var pushes []int // indices in entry.ins
-	for i := start; i < len(entry.ins) && entry.ins[i].Op == isa.PUSH; i++ {
-		pushes = append(pushes, i)
+	npush := 0
+	for first+npush < len(entry.ins) && entry.ins[first+npush].Op == isa.PUSH {
+		npush++
 	}
-	if len(pushes) == 0 {
-		shrinkFrame(blocks)
-		return
+	if npush == 0 {
+		return shrinkFrame(blocks)
 	}
 	// No SP-relative accesses may precede the push run.
-	for i := 0; i < pushes[0]; i++ {
-		if usesSPMem(entry.ins[i]) {
-			return
+	for i := 0; i < first; i++ {
+		if usesSPMem(&entry.ins[i]) {
+			return 0
 		}
 	}
-	// Every RET block must end with the mirrored pop run.
-	type retBlock struct {
-		b    *eblock
-		pops []int // indices, aligned with pushes reversed
-	}
-	var rets []retBlock
-	for _, b := range blocks {
-		if len(b.ins) == 0 || b.ins[len(b.ins)-1].Op != isa.RET {
-			continue
-		}
-		// Allow an exit-handler CALL between pops and RET.
+	// popsEnd returns the index just past a RET block's pop run (an
+	// exit-handler CALL may sit between the pops and the RET).
+	popsEnd := func(b *eblock) int {
 		end := len(b.ins) - 1
 		for end > 0 && b.ins[end-1].Op == isa.CALL {
 			end--
 		}
-		if end < len(pushes) {
-			return
+		return end
+	}
+	// Every RET block must end with the mirrored pop run: push k pairs
+	// with the pop at popsEnd-1-k.
+	rets := 0
+	for _, b := range blocks {
+		if !b.returns() {
+			continue
 		}
-		pops := make([]int, len(pushes))
-		for k := range pushes {
-			idx := end - 1 - k
-			in := b.ins[idx]
-			if in.Op != isa.POP || in.Dst.Reg != entry.ins[pushes[k]].Dst.Reg {
-				return
+		end := popsEnd(b)
+		if end < npush {
+			return 0
+		}
+		for k := 0; k < npush; k++ {
+			if in := &b.ins[end-1-k]; in.Op != isa.POP || in.Dst.Reg != entry.ins[first+k].Dst.Reg {
+				return 0
 			}
-			pops[k] = idx
 		}
-		rets = append(rets, retBlock{b: b, pops: pops})
+		rets++
 	}
-	if len(rets) == 0 {
-		return
+	if rets == 0 {
+		return 0
 	}
-	// Which saved registers are actually used elsewhere?
-	used := map[isa.Reg]bool{}
-	skip := map[*eblock]map[int]bool{entry: {}}
-	for _, r := range rets {
-		if skip[r.b] == nil {
-			skip[r.b] = map[int]bool{}
-		}
-		for _, idx := range r.pops {
-			skip[r.b][idx] = true
-		}
-	}
-	for _, idx := range pushes {
-		skip[entry][idx] = true
+	// Which saved registers are actually used elsewhere? Mark the pairs,
+	// collect what everything unmarked touches.
+	for k := 0; k < npush; k++ {
+		entry.meta[first+k].mark = true
 	}
 	for _, b := range blocks {
-		for i, in := range b.ins {
-			if skip[b] != nil && skip[b][i] {
-				continue
+		if b.returns() {
+			for k, end := 0, popsEnd(b); k < npush; k++ {
+				b.meta[end-1-k].mark = true
 			}
-			for _, u := range insUses(in) {
-				if u.file == isa.RFInt {
-					used[u.reg] = true
-				}
+		}
+	}
+	var used regMask
+	for _, b := range blocks {
+		for i := range b.ins {
+			if !b.meta[i].mark {
+				used |= insUses(&b.ins[i]) | insDefs(&b.ins[i])
 			}
-			for _, d := range insDefs(in) {
-				if d.file == isa.RFInt {
-					used[d.reg] = true
-				}
-			}
+		}
+	}
+	for _, b := range blocks {
+		for i := range b.meta {
+			b.meta[i].mark = false
 		}
 	}
 	// Remove unused pairs.
 	removed := 0
-	deadEntry := make([]bool, len(entry.ins))
-	deadRet := map[*eblock][]bool{}
-	for _, r := range rets {
-		deadRet[r.b] = make([]bool, len(r.b.ins))
-	}
-	for k, idx := range pushes {
-		reg := entry.ins[idx].Dst.Reg
-		if used[reg] {
+	for k := 0; k < npush; k++ {
+		if used&intBit(entry.ins[first+k].Dst.Reg) != 0 {
 			continue
 		}
-		deadEntry[idx] = true
-		for _, r := range rets {
-			deadRet[r.b][r.pops[k]] = true
-		}
+		entry.kill(first + k)
 		removed++
-	}
-	if removed > 0 {
-		// Entry may itself be a RET block: merge the masks.
-		for _, r := range rets {
-			if r.b == entry {
-				for i, d := range deadRet[r.b] {
-					if d {
-						deadEntry[i] = true
-					}
-				}
-				deadRet[r.b] = nil
-			}
-		}
-		compactBlock(entry, deadEntry)
-		for _, r := range rets {
-			if r.b != entry && deadRet[r.b] != nil {
-				compactBlock(r.b, deadRet[r.b])
+		for _, b := range blocks {
+			if b.returns() {
+				b.kill(popsEnd(b) - 1 - k)
+				removed++
 			}
 		}
 	}
-	shrinkFrame(blocks)
+	sweepDead(blocks)
+	return removed + shrinkFrame(blocks)
 }
 
 // usesSPMem reports whether the instruction has an SP-based memory
 // operand.
-func usesSPMem(in isa.Instr) bool {
-	m, ok := memOperand(in)
-	return ok && ((m.HasBase() && m.Base == isa.SP) || (m.HasIndex() && m.Index == isa.SP))
-}
-
-func memOperand(in isa.Instr) (isa.MemRef, bool) {
+func usesSPMem(in *isa.Instr) bool {
 	switch isa.Info(in.Op).Format {
 	case isa.FRM:
-		return in.Src.Mem, true
+		return memRegs(in.Src.Mem)&intBit(isa.SP) != 0
 	case isa.FMR:
-		return in.Dst.Mem, true
+		return memRegs(in.Dst.Mem)&intBit(isa.SP) != 0
 	}
-	return isa.MemRef{}, false
+	return false
 }
 
 // shrinkFrame removes a "subi sp, K" / "addi sp, K" frame allocation when
 // no SP-relative memory access remains anywhere in the generated code.
-func shrinkFrame(blocks []*eblock) {
+func shrinkFrame(blocks []*eblock) int {
 	if len(blocks) == 0 {
-		return
+		return 0
 	}
 	for _, b := range blocks {
-		for _, in := range b.ins {
-			if usesSPMem(in) {
-				return
+		for i := range b.ins {
+			if usesSPMem(&b.ins[i]) {
+				return 0
 			}
 		}
 	}
 	entry := blocks[0]
 	subIdx := -1
 	var k int64
-	for i, in := range entry.ins {
+	for i := range entry.ins {
+		in := &entry.ins[i]
 		if in.Op == isa.SUBI && in.Dst.Reg == isa.SP {
 			subIdx, k = i, in.Src.Imm
 			break
@@ -1205,26 +1174,24 @@ func shrinkFrame(blocks []*eblock) {
 		break
 	}
 	if subIdx < 0 {
-		return
+		return 0
 	}
 	// Flags from the SUBI must be dead: another setter must follow in the
 	// entry block before any reader, or no reader may exist at all.
 	if flagsReadBeforeSet(entry, subIdx+1) {
-		return
+		return 0
 	}
 	// Every RET block needs the matching ADDI with no flag reader after.
-	type hit struct {
-		b   *eblock
-		idx int
-	}
-	var hits []hit
+	// The ADDIs are marked while the rest is checked; only a complete set
+	// is removed.
+	hits, ok := 0, true
 	for _, b := range blocks {
-		if len(b.ins) == 0 || b.ins[len(b.ins)-1].Op != isa.RET {
+		if !b.returns() {
 			continue
 		}
 		found := -1
 		for i := len(b.ins) - 1; i >= 0; i-- {
-			in := b.ins[i]
+			in := &b.ins[i]
 			if in.Op == isa.ADDI && in.Dst.Reg == isa.SP && in.Src.Imm == k {
 				found = i
 				break
@@ -1235,25 +1202,30 @@ func shrinkFrame(blocks []*eblock) {
 			break
 		}
 		if found < 0 || flagsReadBeforeSet(b, found+1) {
-			return
+			ok = false
+			break
 		}
-		hits = append(hits, hit{b, found})
+		b.meta[found].mark = true
+		hits++
 	}
-	if len(hits) == 0 {
-		return
-	}
-	dead := make([]bool, len(entry.ins))
-	dead[subIdx] = true
-	compactBlock(entry, dead)
-	for _, h := range hits {
-		d := make([]bool, len(h.b.ins))
-		idx := h.idx
-		if h.b == entry && idx > subIdx {
-			idx--
+	removed := 0
+	for _, b := range blocks {
+		for i := range b.meta {
+			if b.meta[i].mark {
+				b.meta[i].mark = false
+				if ok && hits > 0 {
+					b.kill(i)
+					removed++
+				}
+			}
 		}
-		d[idx] = true
-		compactBlock(h.b, d)
 	}
+	if removed > 0 {
+		entry.kill(subIdx)
+		removed++
+		sweepDead(blocks)
+	}
+	return removed
 }
 
 // flagsReadBeforeSet reports whether, scanning forward from index i, a
@@ -1261,7 +1233,7 @@ func shrinkFrame(blocks []*eblock) {
 // block end unless the block returns).
 func flagsReadBeforeSet(b *eblock, i int) bool {
 	for ; i < len(b.ins); i++ {
-		in := b.ins[i]
+		in := &b.ins[i]
 		if isa.ReadsFlags(in.Op) {
 			return true
 		}
@@ -1273,29 +1245,4 @@ func flagsReadBeforeSet(b *eblock, i int) bool {
 		}
 	}
 	return b.term == termJcc || b.term == termFall
-}
-
-// compactBlock drops marked instructions and fixes the size accounting,
-// keeping the metadata aligned.
-func compactBlock(b *eblock, dead []bool) {
-	out := b.ins[:0]
-	meta := b.meta[:0]
-	bytes := 0
-	for i, ins := range b.ins {
-		if dead[i] {
-			continue
-		}
-		out = append(out, ins)
-		if i < len(b.meta) {
-			meta = append(meta, b.meta[i])
-		} else {
-			meta = append(meta, insMeta{})
-		}
-		if n, err := isa.EncodedLen(ins); err == nil {
-			bytes += n
-		}
-	}
-	b.ins = out
-	b.meta = meta
-	b.bytes = bytes
 }

@@ -14,13 +14,21 @@ func mkBlock(ins ...isa.Instr) *eblock {
 	return b
 }
 
+// listing renders the block after dropping what a pass marked dead.
 func listing(b *eblock) string {
+	sweepDead([]*eblock{b})
 	var sb strings.Builder
 	for _, in := range b.ins {
 		sb.WriteString(in.String())
 		sb.WriteByte('\n')
 	}
 	return sb.String()
+}
+
+// deadCode runs the global dead-code pass and compacts the blocks.
+func deadCode(blocks []*eblock) {
+	(&optimizer{blocks: blocks}).deadCodeGlobal()
+	sweepDead(blocks)
 }
 
 func TestDeadCodeGlobalRemovesChains(t *testing.T) {
@@ -33,7 +41,7 @@ func TestDeadCodeGlobalRemovesChains(t *testing.T) {
 		isa.MakeRR(isa.FMOV, 0, 1),
 		isa.MakeNone(isa.RET),
 	)
-	deadCodeGlobal([]*eblock{b})
+	deadCode([]*eblock{b})
 	if len(b.ins) != 4 {
 		t.Errorf("len = %d, want 4:\n%s", len(b.ins), listing(b))
 	}
@@ -52,7 +60,7 @@ func TestDeadCodeGlobalKeepsAcrossBlocks(t *testing.T) {
 		isa.MakeNone(isa.RET),
 	)
 	b1.id = 1
-	deadCodeGlobal([]*eblock{b0, b1})
+	deadCode([]*eblock{b0, b1})
 	if len(b0.ins) != 1 || b0.ins[0].Src.Imm != 7 {
 		t.Errorf("b0:\n%s", listing(b0))
 	}
@@ -66,7 +74,7 @@ func TestDeadCodeGlobalFlagsLiveIntoJcc(t *testing.T) {
 	b0.succ, b0.jcc = 1, 1
 	b1 := mkBlock(isa.MakeNone(isa.RET))
 	b1.id = 1
-	deadCodeGlobal([]*eblock{b0, b1})
+	deadCode([]*eblock{b0, b1})
 	if len(b0.ins) != 1 {
 		t.Errorf("cmp removed:\n%s", listing(b0))
 	}
@@ -146,7 +154,7 @@ func TestForwardFrameStores(t *testing.T) {
 		isa.MakeRM(isa.LOAD, isa.R4, isa.BaseDisp(isa.SP, 24)), // other reg: mov
 		isa.MakeNone(isa.RET),
 	)
-	forwardFrameStores(b)
+	new(optimizer).forwardFrameStores(b)
 	got := listing(b)
 	if strings.Contains(got, "load r3") {
 		t.Errorf("same-register reload kept:\n%s", got)
@@ -163,7 +171,7 @@ func TestForwardFrameStoresInvalidatedBySPChange(t *testing.T) {
 		isa.MakeRM(isa.LOAD, isa.R4, isa.BaseDisp(isa.SP, 24)),
 		isa.MakeNone(isa.RET),
 	)
-	forwardFrameStores(b)
+	new(optimizer).forwardFrameStores(b)
 	if !strings.Contains(listing(b), "load r4, [r15+24]") {
 		t.Errorf("stale forwarding:\n%s", listing(b))
 	}
@@ -176,6 +184,7 @@ func TestRedundantLoadsDropsDuplicate(t *testing.T) {
 		isa.MakeNone(isa.RET),
 	)
 	redundantLoads(b)
+	sweepDead([]*eblock{b})
 	if len(b.ins) != 2 {
 		t.Errorf("duplicate load kept:\n%s", listing(b))
 	}
@@ -189,6 +198,7 @@ func TestRedundantLoadsRespectsStores(t *testing.T) {
 		isa.MakeNone(isa.RET),
 	)
 	redundantLoads(b)
+	sweepDead([]*eblock{b})
 	if len(b.ins) != 4 {
 		t.Errorf("load across store dropped:\n%s", listing(b))
 	}
@@ -228,25 +238,25 @@ func TestCompatMigration(t *testing.T) {
 	// Same known value, unmaterialized in w1, target expects materialized.
 	w1.r[2] = ival{kind: vConst, val: 42}
 	w2.r[2] = ival{kind: vConst, val: 42, mat: true}
-	ic, fc, ok := compat(w1, w2)
-	if !ok || len(ic) != 1 || ic[0] != isa.Reg(2) || len(fc) != 0 {
-		t.Errorf("compat: %v %v %v", ic, fc, ok)
+	comp, ok := compat(w1, w2)
+	if !ok || comp != intBit(2) {
+		t.Errorf("compat: %#x %v", comp, ok)
 	}
 	// Different known value: no migration.
 	w2.r[2] = ival{kind: vConst, val: 43}
-	if _, _, ok := compat(w1, w2); ok {
+	if _, ok := compat(w1, w2); ok {
 		t.Error("value mismatch accepted")
 	}
 	// Known -> unknown: allowed with materialization.
 	w2.r[2] = unknown()
-	ic, _, ok = compat(w1, w2)
-	if !ok || len(ic) != 1 {
-		t.Errorf("known->unknown: %v %v", ic, ok)
+	comp, ok = compat(w1, w2)
+	if !ok || comp != intBit(2) {
+		t.Errorf("known->unknown: %#x %v", comp, ok)
 	}
 	// Unknown -> known: rejected.
 	w1.r[2] = unknown()
 	w2.r[2] = konst(1)
-	if _, _, ok := compat(w1, w2); ok {
+	if _, ok := compat(w1, w2); ok {
 		t.Error("unknown->known accepted")
 	}
 }
@@ -269,39 +279,47 @@ func TestGeneralizeConverges(t *testing.T) {
 		t.Error("SP must stay symbolic")
 	}
 	// Migrating from w1 into its own generalization always works.
-	if _, _, ok := compat(w1, g); !ok {
+	if _, ok := compat(w1, g); !ok {
 		t.Error("w1 cannot reach its generalization")
 	}
 }
 
 func TestWorldKeyDistinguishesStates(t *testing.T) {
+	// The hash nominates and same() decides; both must tell these apart.
+	differ := func(a, b *world, what string) {
+		t.Helper()
+		if a.hash() == b.hash() {
+			t.Errorf("%s not in hash", what)
+		}
+		if same(a, b) {
+			t.Errorf("%s not in same()", what)
+		}
+	}
 	w1 := newWorld()
 	w2 := newWorld()
-	if w1.key() != w2.key() {
+	if w1.hash() != w2.hash() || !same(w1, w2) {
 		t.Error("identical worlds differ")
 	}
 	w2.r[1] = konst(5)
-	if w1.key() == w2.key() {
-		t.Error("different reg state, same key")
-	}
-	w3 := w2.clone()
-	if w2.key() != w3.key() {
-		t.Error("clone changed key")
+	differ(w1, w2, "register state")
+	w3 := w2.share()
+	if w2.hash() != w3.hash() || !same(w2, w3) {
+		t.Error("share changed the world")
 	}
 	w3.writeStack(-8, 8, konst(1))
-	if w2.key() == w3.key() {
-		t.Error("stack slot not in key")
-	}
-	w4 := w2.clone()
+	differ(w2, w3, "stack slot")
+	w4 := w2.share()
 	w4.fdirty = true
-	if w2.key() == w4.key() {
-		t.Error("fdirty not in key")
-	}
-	w5 := w2.clone()
+	differ(w2, w4, "fdirty")
+	w5 := w2.share()
 	w5.escaped = true
-	if w2.key() == w5.key() {
-		t.Error("escaped not in key")
-	}
+	differ(w2, w5, "escaped")
+	w6 := w2.share()
+	w6.overlayWrite(0x5003, 0x1122, 2)
+	differ(w2, w6, "overlay byte")
+	w7 := w2.share()
+	w7.poisonMem(0x5003, 2)
+	differ(w6, w7, "overlay poison")
 }
 
 func TestStackOverlapInvalidation(t *testing.T) {

@@ -1,11 +1,72 @@
 package brew
 
-import "repro/internal/isa"
+import (
+	"math/bits"
+
+	"repro/internal/isa"
+)
 
 // regRef names a register in a specific file.
 type regRef struct {
 	file isa.RegFile
 	reg  isa.Reg
+}
+
+// regMask is a set of registers across all three files in one word: bits
+// 0..15 the integer file, 16..31 the floating-point file, 32..47 the vector
+// file. Uses, defs and liveness are all regMasks, so the passes' set
+// operations are single AND/OR/ANDNOT instructions.
+type regMask uint64
+
+const (
+	floatShift = isa.NumRegs
+	vecShift   = 2 * isa.NumRegs
+
+	intRegs   regMask = 1<<isa.NumRegs - 1
+	floatRegs         = intRegs << floatShift
+)
+
+func intBit(r isa.Reg) regMask   { return 1 << r }
+func floatBit(r isa.Reg) regMask { return 1 << (floatShift + r) }
+
+// regBit returns the one-register set {file:r}; a register of no file is
+// the empty set.
+func regBit(file isa.RegFile, r isa.Reg) regMask {
+	switch file {
+	case isa.RFInt:
+		return 1 << r
+	case isa.RFFloat:
+		return 1 << (floatShift + r)
+	case isa.RFVec:
+		return 1 << (vecShift + r)
+	}
+	return 0
+}
+
+func (r regRef) bit() regMask { return regBit(r.file, r.reg) }
+
+// ints and floats return the registers of one file as a 16-bit set indexed
+// by register number, for iteration with nextReg.
+func (m regMask) ints() regMask   { return m & intRegs }
+func (m regMask) floats() regMask { return m >> floatShift & intRegs }
+
+// nextReg pops the lowest register number from a one-file set.
+func (m *regMask) nextReg() isa.Reg {
+	r := isa.Reg(bits.TrailingZeros64(uint64(*m)))
+	*m &= *m - 1
+	return r
+}
+
+// memRegs returns the integer registers a memory operand reads.
+func memRegs(m isa.MemRef) regMask {
+	var out regMask
+	if m.HasBase() {
+		out |= intBit(m.Base)
+	}
+	if m.HasIndex() {
+		out |= intBit(m.Index)
+	}
+	return out
 }
 
 // readsDstALU reports whether an integer two-operand opcode reads its
@@ -14,85 +75,91 @@ func readsDstALU(op isa.Opcode) bool {
 	return op != isa.MOV && op != isa.MOVI
 }
 
+// opShape is what uses and defs need of an opcode's static metadata, in a
+// table of this package's own: isa.Info hands out a 40-byte struct by value,
+// and the passes ask twice per instruction per sweep.
+type opShape struct {
+	Format           isa.Format
+	DstFile, SrcFile isa.RegFile
+}
+
+var opShapes = func() (t [isa.NumOpcodes]opShape) {
+	for op := range t {
+		info := isa.Info(isa.Opcode(op))
+		t[op] = opShape{info.Format, info.DstFile, info.SrcFile}
+	}
+	return t
+}()
+
 // insUses returns the registers an emitted instruction reads.
-func insUses(ins isa.Instr) []regRef {
-	var out []regRef
-	add := func(file isa.RegFile, r isa.Reg) {
-		out = append(out, regRef{file, r})
-	}
-	addMem := func(m isa.MemRef) {
-		if m.HasBase() {
-			add(isa.RFInt, m.Base)
-		}
-		if m.HasIndex() {
-			add(isa.RFInt, m.Index)
-		}
-	}
-	info := isa.Info(ins.Op)
+func insUses(ins *isa.Instr) regMask {
+	var out regMask
+	info := opShapes[ins.Op]
 	switch info.Format {
 	case isa.FNone:
 		// RET reads the stack; handled as a barrier by passes.
 	case isa.FR:
 		switch ins.Op {
-		case isa.PUSH, isa.JMPR, isa.CALLR:
-			add(isa.RFInt, ins.Dst.Reg)
-		case isa.NEG, isa.NOT:
-			add(isa.RFInt, ins.Dst.Reg)
-		case isa.FNEG:
-			add(isa.RFFloat, ins.Dst.Reg)
+		case isa.PUSH:
+			out = intBit(ins.Dst.Reg) | intBit(isa.SP)
 		case isa.POP:
-		}
-		if ins.Op == isa.PUSH || ins.Op == isa.POP {
-			add(isa.RFInt, isa.SP)
+			out = intBit(isa.SP)
+		case isa.JMPR, isa.CALLR, isa.NEG, isa.NOT:
+			out = intBit(ins.Dst.Reg)
+		case isa.FNEG:
+			out = floatBit(ins.Dst.Reg)
 		}
 	case isa.FRR:
-		add(info.SrcFile, ins.Src.Reg)
-		if info.DstFile == isa.RFInt && readsDstALU(ins.Op) {
-			add(info.DstFile, ins.Dst.Reg)
-		}
-		if info.DstFile == isa.RFFloat && ins.Op != isa.FMOV && ins.Op != isa.FSQRT &&
-			ins.Op != isa.CVTIF && ins.Op != isa.FMOVIF {
-			add(info.DstFile, ins.Dst.Reg)
-		}
-		if info.DstFile == isa.RFVec && ins.Op != isa.VBCAST {
-			add(info.DstFile, ins.Dst.Reg)
+		out = regBit(info.SrcFile, ins.Src.Reg)
+		switch info.DstFile {
+		case isa.RFInt:
+			if readsDstALU(ins.Op) {
+				out |= intBit(ins.Dst.Reg)
+			}
+		case isa.RFFloat:
+			if ins.Op != isa.FMOV && ins.Op != isa.FSQRT && ins.Op != isa.CVTIF && ins.Op != isa.FMOVIF {
+				out |= floatBit(ins.Dst.Reg)
+			}
+		case isa.RFVec:
+			if ins.Op != isa.VBCAST {
+				out |= regBit(isa.RFVec, ins.Dst.Reg)
+			}
 		}
 	case isa.FRI:
 		if readsDstALU(ins.Op) && ins.Op != isa.FMOVI {
-			add(info.DstFile, ins.Dst.Reg)
+			out = regBit(info.DstFile, ins.Dst.Reg)
 		}
 	case isa.FRM:
-		addMem(ins.Src.Mem)
+		out = memRegs(ins.Src.Mem)
 	case isa.FMR:
-		add(info.DstFile, ins.Src.Reg)
-		addMem(ins.Dst.Mem)
+		out = regBit(info.DstFile, ins.Src.Reg) | memRegs(ins.Dst.Mem)
 	case isa.FRel, isa.FCC, isa.FCCR:
 	}
 	return out
 }
 
 // insDefs returns the registers an emitted instruction writes.
-func insDefs(ins isa.Instr) []regRef {
-	info := isa.Info(ins.Op)
+func insDefs(ins *isa.Instr) regMask {
+	info := opShapes[ins.Op]
 	switch ins.Op {
 	case isa.CMP, isa.CMPI, isa.TEST, isa.FCMP, isa.STORE, isa.STOREB,
 		isa.FSTORE, isa.VSTORE, isa.JMP, isa.JMPR, isa.JCC, isa.RET,
 		isa.NOP, isa.HALT, isa.BRK:
-		return nil
+		return 0
 	case isa.PUSH:
-		return []regRef{{isa.RFInt, isa.SP}}
+		return intBit(isa.SP)
 	case isa.POP:
-		return []regRef{{info.DstFile, ins.Dst.Reg}, {isa.RFInt, isa.SP}}
+		return regBit(info.DstFile, ins.Dst.Reg) | intBit(isa.SP)
 	case isa.CALL, isa.CALLR:
 		// Calls clobber all caller-saved registers; passes treat them as
 		// barriers instead of enumerating defs.
-		return nil
+		return 0
 	}
 	switch info.Format {
 	case isa.FR, isa.FRR, isa.FRI, isa.FRM, isa.FCCR:
-		return []regRef{{info.DstFile, ins.Dst.Reg}}
+		return regBit(info.DstFile, ins.Dst.Reg)
 	}
-	return nil
+	return 0
 }
 
 // isBarrier reports whether an instruction must not be reordered or

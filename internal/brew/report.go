@@ -1,9 +1,10 @@
 package brew
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/isa"
@@ -12,12 +13,15 @@ import (
 // Decision classification of one traced original instruction. Every traced
 // instruction lands in exactly one class, so the four totals sum to
 // TracedInstrs (the cmd/brew-trace accounting invariant).
+type class uint8
+
 const (
-	classKept   = "kept"   // survived into the generated code
-	classElided = "elided" // evaluated silently against the known world
-	classFolded = "folded" // replaced by a cheaper form (immediate, strength
-	//                          reduction, folded address)
-	classInlined = "inlined" // call/return dissolved into the trace
+	classNone    class = iota // not decided by a tracing site: endStep infers it
+	classKept                 // survived into the generated code
+	classElided               // evaluated silently against the known world
+	classFolded               // replaced by a cheaper form (immediate, strength reduction, folded address)
+	classInlined              // call/return dissolved into the trace
+	numClasses
 )
 
 // Decision aggregates what happened to one original instruction (by PC)
@@ -185,49 +189,46 @@ func (r *RewriteReport) Text() string {
 
 // reportBuilder accumulates decision data while the tracer runs. State is
 // per-PC and per-block (both bounded by the original code and block count),
-// never per trace event, so full unrolls stay cheap.
+// never per trace event, so full unrolls stay cheap: class totals in an
+// array, per-block class counts on the blocks themselves, and decisions in
+// one slice that a PC map indexes.
 type reportBuilder struct {
 	emitN int // instructions captured so far (emit + trampoline appends)
 
 	// Per-step scratch, reset by beginStep.
-	stepClass  string
+	stepClass  class
 	stepReason string
 
-	totals   map[string]int
-	perPC    map[uint64]*Decision
-	perBlock map[int]*BlockReport
+	totals    [numClasses]int
+	decisions []Decision
+	pcIndex   map[uint64]int32 // PC -> index into decisions
+	last      int32            // index of the previous step's decision
 
 	inlinedCalls int
 	traceOvers   int
 	migrations   int
 	overhead     Overhead
 
-	passes    []*PassReport
-	passIndex map[string]*PassReport
-	passWork  int
-	sweeps    []int
+	passes   []PassReport
+	passWork int
+	sweeps   []int
 }
 
 func newReportBuilder() *reportBuilder {
-	return &reportBuilder{
-		totals:    map[string]int{},
-		perPC:     map[uint64]*Decision{},
-		perBlock:  map[int]*BlockReport{},
-		passIndex: map[string]*PassReport{},
-	}
+	return &reportBuilder{pcIndex: make(map[uint64]int32, 256), last: -1}
 }
 
 // beginStep snapshots the emission counter before one traced instruction.
 func (rb *reportBuilder) beginStep() int {
-	rb.stepClass = ""
+	rb.stepClass = classNone
 	rb.stepReason = ""
 	return rb.emitN
 }
 
 // classify pins the current traced instruction's class explicitly;
 // endStep's emitted-delta heuristic only applies when no site did.
-func (rb *reportBuilder) classify(class, reason string) {
-	rb.stepClass = class
+func (rb *reportBuilder) classify(c class, reason string) {
+	rb.stepClass = c
 	rb.stepReason = reason
 }
 
@@ -239,27 +240,37 @@ func (rb *reportBuilder) note(reason string) {
 }
 
 // endStep classifies one successfully traced instruction.
-func (rb *reportBuilder) endStep(blockID int, ins isa.Instr, emitBase int) {
-	class := rb.stepClass
-	if class == "" {
+func (rb *reportBuilder) endStep(b *eblock, ins *isa.Instr, emitBase int) {
+	c := rb.stepClass
+	if c == classNone {
 		if rb.emitN > emitBase {
-			class = classKept
+			c = classKept
 		} else {
-			class = classElided
+			c = classElided
 			if rb.stepReason == "" {
 				rb.stepReason = "known world: evaluated silently"
 			}
 		}
 	}
-	rb.totals[class]++
+	rb.totals[c]++
+	b.classes[c]++
 
-	d := rb.perPC[ins.Addr]
-	if d == nil {
-		d = &Decision{PC: ins.Addr, Op: ins.Op.String()}
-		rb.perPC[ins.Addr] = d
+	// Code mostly runs in the order it was first seen (the next iteration
+	// of an unrolled loop, the same callee inlined again), so the decision
+	// after the previous one is tried before the map.
+	di := rb.last + 1
+	if int(di) >= len(rb.decisions) || rb.decisions[di].PC != ins.Addr {
+		var ok bool
+		if di, ok = rb.pcIndex[ins.Addr]; !ok {
+			di = int32(len(rb.decisions))
+			rb.pcIndex[ins.Addr] = di
+			rb.decisions = append(rb.decisions, Decision{PC: ins.Addr, Op: ins.Op.String()})
+		}
 	}
+	rb.last = di
+	d := &rb.decisions[di]
 	d.Count++
-	switch class {
+	switch c {
 	case classKept:
 		d.Kept++
 	case classElided:
@@ -269,37 +280,21 @@ func (rb *reportBuilder) endStep(blockID int, ins isa.Instr, emitBase int) {
 	case classInlined:
 		d.Inlined++
 	}
-	if class != classKept && rb.stepReason != "" {
+	if c != classKept && rb.stepReason != "" {
 		d.Reason = rb.stepReason
-	}
-
-	br := rb.perBlock[blockID]
-	if br == nil {
-		br = &BlockReport{ID: blockID}
-		rb.perBlock[blockID] = br
-	}
-	br.Traced++
-	switch class {
-	case classKept:
-		br.Kept++
-	case classElided:
-		br.Elided++
-	case classFolded:
-		br.Folded++
-	case classInlined:
-		br.Inlined++
 	}
 }
 
 func (rb *reportBuilder) pass(name string, scanned, removed int) {
-	p := rb.passIndex[name]
-	if p == nil {
-		p = &PassReport{Name: name}
-		rb.passIndex[name] = p
-		rb.passes = append(rb.passes, p)
+	i := 0
+	for i < len(rb.passes) && rb.passes[i].Name != name {
+		i++
 	}
-	p.Runs++
-	p.Removed += removed
+	if i == len(rb.passes) {
+		rb.passes = append(rb.passes, PassReport{Name: name})
+	}
+	rb.passes[i].Runs++
+	rb.passes[i].Removed += removed
 	rb.passWork += scanned
 }
 
@@ -310,7 +305,8 @@ func (rb *reportBuilder) sweep(removed int) {
 }
 
 // build assembles the final report from the builder and the optimized
-// blocks. Every slice is sorted for byte-stable rendering.
+// blocks. Blocks come in id order; decisions are sorted by PC for
+// byte-stable rendering. The builder's slices become the report's.
 func (rb *reportBuilder) build(fn uint64, res *Result, blocks []*eblock) *RewriteReport {
 	r := &RewriteReport{
 		Fn:                fn,
@@ -327,29 +323,23 @@ func (rb *reportBuilder) build(fn uint64, res *Result, blocks []*eblock) *Rewrit
 		VariantMigrations: rb.migrations,
 		Overhead:          rb.overhead,
 		PassWork:          rb.passWork,
-		OptSweeps:         append([]int(nil), rb.sweeps...),
+		OptSweeps:         rb.sweeps,
+		Passes:            rb.passes,
+		Decisions:         rb.decisions,
 	}
-	for _, b := range blocks {
-		br := rb.perBlock[b.id]
-		if br == nil {
-			br = &BlockReport{ID: b.id, Trampoline: b.addr == 0 && b.world == nil}
+	r.Blocks = make([]BlockReport, len(blocks))
+	for id, b := range blocks {
+		c := &b.classes
+		r.Blocks[id] = BlockReport{
+			ID: id, Addr: b.addr, Emitted: len(b.ins),
+			Kept: int(c[classKept]), Elided: int(c[classElided]),
+			Folded: int(c[classFolded]), Inlined: int(c[classInlined]),
+			Traced: int(c[classKept] + c[classElided] + c[classFolded] + c[classInlined]),
+			// A block nothing was traced into is a compensation trampoline.
+			Trampoline: b.world == nil,
 		}
-		br.Addr = b.addr
-		br.Emitted = len(b.ins)
 		r.EmittedFinal += len(b.ins)
-		r.Blocks = append(r.Blocks, *br)
 	}
-	sort.Slice(r.Blocks, func(i, j int) bool { return r.Blocks[i].ID < r.Blocks[j].ID })
-	for _, p := range rb.passes {
-		r.Passes = append(r.Passes, *p)
-	}
-	pcs := make([]uint64, 0, len(rb.perPC))
-	for pc := range rb.perPC {
-		pcs = append(pcs, pc)
-	}
-	sort.Slice(pcs, func(i, j int) bool { return pcs[i] < pcs[j] })
-	for _, pc := range pcs {
-		r.Decisions = append(r.Decisions, *rb.perPC[pc])
-	}
+	slices.SortFunc(r.Decisions, func(a, b Decision) int { return cmp.Compare(a.PC, b.PC) })
 	return r
 }

@@ -39,12 +39,12 @@ type Result struct {
 	// function, not specialized code, and the other fields are zero.
 	Degraded bool
 
-	listing string
+	// What Listing renders from: the emitted image (the very buffer the
+	// encoder filled; the machine holds its own copy) and one row per
+	// block. Both are nil for degraded and store-adopted results.
+	image  []byte
+	blocks []blockInfo
 }
-
-// Listing returns a human-readable dump of the captured blocks (the
-// reproduction of the paper's Figure 6).
-func (r *Result) Listing() string { return r.listing }
 
 // Rewrite generates a specialized drop-in replacement for the function at
 // fn, the analogue of the paper's
@@ -120,20 +120,23 @@ func rewrite(m *vm.Machine, cfg *Config, fn uint64, args []uint64, fargs []float
 		optimize(t.blocks, !t.escapedEver && !t.frameOpaque, cfg.Vectorize, t.rep)
 	}
 
-	// Size probe at base 0, then allocation and final relocation under
-	// the machine's JIT lock (several rewrites may run concurrently).
+	// Placement is arithmetic (block sizes are known, jumps fixed-width),
+	// so the image is encoded exactly once, at its final address, under the
+	// machine's JIT lock (several rewrites may run concurrently).
 	if err := injectAt(cfg, SiteLayout); err != nil {
 		return nil, err
 	}
-	probe, err := layoutAndEncode(t.blocks, 0, cfg.MaxCodeBytes)
+	lay, err := planLayout(t.blocks, cfg.MaxCodeBytes)
 	if err != nil {
 		return nil, err
 	}
 	if err := injectAt(cfg, SiteInstall); err != nil {
 		return nil, err
 	}
-	addr, err := m.InstallJIT(len(probe), func(at uint64) ([]byte, error) {
-		return layoutAndEncode(t.blocks, at, cfg.MaxCodeBytes)
+	var image []byte
+	addr, err := m.InstallJIT(lay.size, func(at uint64) (code []byte, err error) {
+		image, err = lay.encode(t.blocks, at)
+		return image, err
 	})
 	if err != nil {
 		if errors.Is(err, mem.ErrNoSpace) {
@@ -141,13 +144,13 @@ func rewrite(m *vm.Machine, cfg *Config, fn uint64, args []uint64, fargs []float
 		}
 		return nil, err
 	}
-	code := probe // size bookkeeping only; the installed bytes are relocated
 	res := &Result{
 		Addr:         addr,
-		CodeSize:     len(code),
+		CodeSize:     lay.size,
 		Blocks:       len(t.blocks),
 		TracedInstrs: t.tracedN,
-		listing:      dumpBlocks(t.blocks),
+		image:        image,
+		blocks:       blockTable(t.blocks, lay),
 	}
 	res.Report = t.rep.build(fn, res, t.blocks)
 	res.Report.Effort = cfg.Effort.String()

@@ -3,6 +3,8 @@ package brew
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"time"
 
 	"repro/internal/isa"
@@ -11,29 +13,41 @@ import (
 
 // tracer carries the state of one Rewrite call: the block queue, the
 // already-generated translations, and the state of the path currently being
-// traced.
+// traced. Nothing in it is shared with another request.
 type tracer struct {
 	cfg    *Config
 	m      *vm.Machine
 	ranges []MemRange // declared-known memory: config ranges + pointer params
 
 	blocks    []*eblock
-	keyed     map[blockKey]int
-	sites     map[variantSite][]int
-	queue     []int
+	sites     map[variantSite]site
+	ctxs      []inlineCtx // interned shadow stacks; ctxs[0] is the empty one
+	ctxIndex  map[ctxKey]int
+	queued    int // blocks[queued:] with a world are yet to be traced
 	tracedN   int
 	codeBytes int
 
-	// Current path state.
+	// Current path state. ins and meta collect the current block's body:
+	// one pair of buffers serves every block of the request, and a finished
+	// block takes an exactly-sized copy. w is the working world (always
+	// &wbuf): a copy of the current block's entry snapshot on shared overlays
+	// (world.go has the ownership rule).
 	cur     *eblock
+	ins     []isa.Instr
+	meta    []insMeta
 	w       *world
-	frames  []frame
+	wbuf    world
+	ctx     int // current inline context
 	curFn   uint64
 	curOpts FuncOpts
 	pc      uint64
-	// Per-block trace-over counts for bounding inline unrolling of
-	// unconditional back edges.
-	overCount map[uint64]int
+	// snap is the working world frozen for the successors of the block
+	// being finished: the first edge that needs a new translation makes it,
+	// a second edge (the other side of a branch) reuses it.
+	snap *world
+	// overCount bounds inline unrolling of unconditional back edges: per
+	// jump target, how often the block named in the entry traced over it.
+	overCount map[uint64]overTally
 	// escapedEver / frameOpaque gate the dead frame-store elimination
 	// pass: it only runs when every frame access was precisely
 	// attributable and no frame address ever escaped.
@@ -47,50 +61,113 @@ type tracer struct {
 	deadline time.Time
 }
 
-func newTracer(m *vm.Machine, cfg *Config) *tracer {
-	return &tracer{
-		cfg:   cfg,
-		m:     m,
-		keyed: make(map[blockKey]int),
-		sites: make(map[variantSite][]int),
-		rep:   newReportBuilder(),
-	}
+// overTally is a trace-over count that is only meaningful for one block.
+type overTally struct {
+	block, n int
 }
 
-// newBlock registers a pending translation for (addr, world, frames).
-func (t *tracer) newBlock(addr uint64, w *world, frames []frame, fn uint64) (int, error) {
+func newTracer(m *vm.Machine, cfg *Config) *tracer {
+	t := &tracer{
+		cfg:       cfg,
+		m:         m,
+		sites:     make(map[variantSite]site),
+		ctxs:      []inlineCtx{{parent: -1}},
+		ctxIndex:  make(map[ctxKey]int),
+		overCount: make(map[uint64]overTally),
+		rep:       newReportBuilder(),
+	}
+	t.w = &t.wbuf
+	return t
+}
+
+// pushCtx returns the inline context that is fr on top of the current one.
+func (t *tracer) pushCtx(fr frame) int {
+	key := ctxKey{parent: t.ctx, retAddr: fr.retAddr, fn: fr.fn, delta: fr.delta}
+	id, ok := t.ctxIndex[key]
+	if !ok {
+		id = len(t.ctxs)
+		t.ctxs = append(t.ctxs, inlineCtx{frame: fr, parent: t.ctx, depth: t.ctxs[t.ctx].depth + 1})
+		t.ctxIndex[key] = id
+	}
+	return id
+}
+
+// findBlock returns the existing translation of addr in the current inline
+// context whose entry world is the same as w (-1 if there is none), and the
+// site's chain. The stored hash only nominates candidates; same() is what
+// makes a block the answer. An address nothing was translated at costs one
+// map probe and no hash.
+func (t *tracer) findBlock(addr uint64, w *world) (int, site) {
+	s, ok := t.sites[variantSite{addr, t.ctx}]
+	if !ok {
+		return -1, site{}
+	}
+	h := w.hash()
+	for id := s.head; id >= 0; id = t.blocks[id].next {
+		if b := t.blocks[id]; b.whash == h && same(w, b.world) {
+			return id, s
+		}
+	}
+	return -1, s
+}
+
+// snapshot freezes the working world as the entry state of the finished
+// block's successors. Edges are resolved only while a block is being
+// ended — nothing writes the working world between an edge and endBlock —
+// so both sides of a branch get the one snapshot, and the overlays are
+// handed over, not copied.
+func (t *tracer) snapshot() *world {
+	if t.snap == nil {
+		t.snap = t.w.share()
+	}
+	return t.snap
+}
+
+// newBlock registers a pending translation for (addr, w, current inline
+// context). w becomes the block's entry snapshot and must not be written
+// afterwards.
+func (t *tracer) newBlock(addr uint64, w *world, fn uint64) (int, error) {
 	if len(t.blocks) >= t.cfg.MaxBlocks {
 		return 0, ErrTooManyBlocks
 	}
 	b := &eblock{
 		id:     len(t.blocks),
 		addr:   addr,
+		fnAddr: fn, // function containing addr, for per-function options
 		world:  w,
-		frames: append([]frame(nil), frames...),
+		whash:  w.hash(),
+		ctx:    t.ctx,
 		term:   termEnd,
 		succ:   -1,
 		jcc:    -1,
+		next:   -1,
 	}
 	t.blocks = append(t.blocks, b)
-	key := blockKey{addr: addr, wkey: w.key(), fkey: framesKey(b.frames)}
-	t.keyed[key] = b.id
-	site := variantSite{addr: addr, fkey: key.fkey}
-	t.sites[site] = append(t.sites[site], b.id)
-	t.queue = append(t.queue, b.id)
-	// fn: function containing addr, used to look up per-function options.
-	b.fnAddr = fn
+	key := variantSite{addr, t.ctx}
+	s, ok := t.sites[key]
+	if ok {
+		t.blocks[s.tail].next = b.id
+	} else {
+		s.head = b.id
+	}
+	s.tail = b.id
+	s.n++
+	t.sites[key] = s
 	return b.id, nil
 }
 
-// run drives the yet-to-be-rewritten queue (paper, Section III.G).
+// run drives the yet-to-be-rewritten queue (paper, Section III.G): blocks
+// are traced in the order they were registered; trampolines, which are
+// complete when created, are passed over.
 func (t *tracer) run(entry uint64, w0 *world) error {
-	if _, err := t.newBlock(entry, w0, nil, entry); err != nil {
+	if _, err := t.newBlock(entry, w0, entry); err != nil {
 		return err
 	}
-	for len(t.queue) > 0 {
-		id := t.queue[0]
-		t.queue = t.queue[1:]
-		if err := t.traceBlock(id); err != nil {
+	for ; t.queued < len(t.blocks); t.queued++ {
+		if t.blocks[t.queued].world == nil {
+			continue
+		}
+		if err := t.traceBlock(t.queued); err != nil {
 			return err
 		}
 	}
@@ -100,12 +177,13 @@ func (t *tracer) run(entry uint64, w0 *world) error {
 func (t *tracer) traceBlock(id int) error {
 	b := t.blocks[id]
 	t.cur = b
-	t.w = b.world.clone()
-	t.frames = append([]frame(nil), b.frames...)
+	t.ins, t.meta = t.ins[:0], t.meta[:0]
+	b.world.shareInto(t.w)
+	t.snap = nil
+	t.ctx = b.ctx
 	t.pc = b.addr
 	t.curFn = b.fnAddr
 	t.curOpts = t.cfg.optsFor(b.fnAddr)
-	t.overCount = make(map[uint64]int)
 	if t.cfg.EntryHandler != 0 && id == 0 {
 		// Handlers preserve all registers by contract; only the runtime
 		// flags are clobbered (Section III.D, injected profiling calls).
@@ -129,37 +207,38 @@ func (t *tracer) traceBlock(id int) error {
 			return ErrDeadline
 		}
 		t.tracedN++
-		ins, err := t.decode(t.pc)
-		if err != nil {
+		var ins isa.Instr
+		if err := t.decode(t.pc, &ins); err != nil {
 			return err
 		}
 		base := t.rep.beginStep()
-		done, err := t.step(ins)
+		done, err := t.step(&ins)
 		if err != nil {
 			return err
 		}
-		t.rep.endStep(b.id, ins, base)
+		t.rep.endStep(b, &ins, base)
 		if done {
+			// Exactly-sized copies: no growth slack, nothing to zero.
+			b.ins, b.meta = slices.Clone(t.ins), slices.Clone(t.meta)
 			return nil
 		}
 	}
 }
 
-func (t *tracer) decode(pc uint64) (isa.Instr, error) {
+func (t *tracer) decode(pc uint64, ins *isa.Instr) error {
 	bs, err := t.m.Mem.FetchSlice(pc)
 	if err != nil {
-		return isa.Instr{}, fmt.Errorf("%w: %v", ErrBadCode, err)
+		return fmt.Errorf("%w: %v", ErrBadCode, err)
 	}
-	ins, err := isa.Decode(bs, pc)
-	if err != nil {
-		return isa.Instr{}, fmt.Errorf("%w: %v", ErrBadCode, err)
+	if *ins, err = isa.Decode(bs, pc); err != nil {
+		return fmt.Errorf("%w: %v", ErrBadCode, err)
 	}
-	return ins, nil
+	return nil
 }
 
 // step processes one traced instruction. It returns done=true when the
 // current block is finished.
-func (t *tracer) step(ins isa.Instr) (bool, error) {
+func (t *tracer) step(ins *isa.Instr) (bool, error) {
 	next := ins.Addr + uint64(ins.Len)
 	t.pc = next
 
@@ -168,10 +247,10 @@ func (t *tracer) step(ins isa.Instr) (bool, error) {
 		return false, nil
 
 	case isa.BRK:
-		return false, t.emit(ins)
+		return false, t.emit(*ins)
 
 	case isa.HALT:
-		if err := t.emit(ins); err != nil {
+		if err := t.emit(*ins); err != nil {
 			return true, err
 		}
 		t.endBlock(termEnd, -1, -1, 0)
@@ -204,7 +283,7 @@ func (t *tracer) step(ins isa.Instr) (bool, error) {
 		return false, t.stepPop(ins)
 
 	case isa.PUSHF:
-		if err := t.emit(ins); err != nil {
+		if err := t.emit(*ins); err != nil {
 			return false, err
 		}
 		if delta, ok := t.w.spDelta(); ok {
@@ -217,7 +296,7 @@ func (t *tracer) step(ins isa.Instr) (bool, error) {
 		return false, nil
 
 	case isa.POPF:
-		if err := t.emit(ins); err != nil {
+		if err := t.emit(*ins); err != nil {
 			return false, err
 		}
 		if delta, ok := t.w.spDelta(); ok {
@@ -277,7 +356,7 @@ func (t *tracer) step(ins isa.Instr) (bool, error) {
 			t.w.f[ins.Dst.Reg] = fval{known: true, val: -f.val}
 			return false, nil
 		}
-		return false, t.emit(ins)
+		return false, t.emit(*ins)
 
 	case isa.FLOAD:
 		return false, t.stepFLoad(ins)
@@ -295,7 +374,7 @@ func (t *tracer) step(ins isa.Instr) (bool, error) {
 			return false, err
 		}
 		t.w.f[ins.Dst.Reg] = fval{}
-		return false, t.emit(ins)
+		return false, t.emit(*ins)
 
 	case isa.CVTFI:
 		f := t.w.f[ins.Src.Reg]
@@ -307,7 +386,7 @@ func (t *tracer) step(ins isa.Instr) (bool, error) {
 			return false, err
 		}
 		t.setInt(ins.Dst.Reg, unknown())
-		return false, t.emit(ins)
+		return false, t.emit(*ins)
 
 	case isa.FMOVFI:
 		f := t.w.f[ins.Src.Reg]
@@ -319,7 +398,7 @@ func (t *tracer) step(ins isa.Instr) (bool, error) {
 			return false, err
 		}
 		t.setInt(ins.Dst.Reg, unknown())
-		return false, t.emit(ins)
+		return false, t.emit(*ins)
 
 	case isa.FMOVIF:
 		v := t.w.r[ins.Src.Reg]
@@ -331,7 +410,7 @@ func (t *tracer) step(ins isa.Instr) (bool, error) {
 			return false, err
 		}
 		t.w.f[ins.Dst.Reg] = fval{}
-		return false, t.emit(ins)
+		return false, t.emit(*ins)
 
 	case isa.VLOAD, isa.VSTORE, isa.VADD, isa.VSUB, isa.VMUL, isa.VBCAST, isa.VHADD:
 		return false, t.stepVector(ins)
@@ -372,7 +451,7 @@ func (t *tracer) emittedFlags(op isa.Opcode) {
 
 // stepALU handles two-operand integer instructions; src is the tracked
 // state of the source operand (a constant for immediate forms).
-func (t *tracer) stepALU(ins isa.Instr, src ival, srcIsReg bool) error {
+func (t *tracer) stepALU(ins *isa.Instr, src ival, srcIsReg bool) error {
 	op := ins.Op
 	dst := ins.Dst.Reg
 	d := t.w.r[dst]
@@ -475,7 +554,7 @@ func (t *tracer) stepALU(ins isa.Instr, src ival, srcIsReg bool) error {
 			if err := t.matInt(ins.Src.Reg); err != nil {
 				return err
 			}
-			if err := t.emit(ins); err != nil {
+			if err := t.emit(*ins); err != nil {
 				return err
 			}
 			t.setInt(dst, ival{kind: vStackRel, val: src.val, mat: true})
@@ -522,7 +601,7 @@ func (t *tracer) stepALU(ins isa.Instr, src ival, srcIsReg bool) error {
 // emitALU emits a two-operand integer instruction, folding a constant
 // source into the immediate form and materializing remaining known
 // operands.
-func (t *tracer) emitALU(ins isa.Instr, src ival, srcIsReg bool) error {
+func (t *tracer) emitALU(ins *isa.Instr, src ival, srcIsReg bool) error {
 	op := ins.Op
 	readsDst := op != isa.MOV && op != isa.MOVI
 	if readsDst {
@@ -542,10 +621,10 @@ func (t *tracer) emitALU(ins isa.Instr, src ival, srcIsReg bool) error {
 			return err
 		}
 	}
-	return t.emit(ins)
+	return t.emit(*ins)
 }
 
-func (t *tracer) stepALU1(ins isa.Instr) error {
+func (t *tracer) stepALU1(ins *isa.Instr) error {
 	d := t.w.r[ins.Dst.Reg]
 	if ins.Dst.Reg != isa.SP && d.isConst() && !t.curOpts.ResultsUnknown &&
 		!(ins.Op == isa.NEG && t.curOpts.BranchesUnknown) {
@@ -560,7 +639,7 @@ func (t *tracer) stepALU1(ins isa.Instr) error {
 	if err := t.matInt(ins.Dst.Reg); err != nil {
 		return err
 	}
-	if err := t.emit(ins); err != nil {
+	if err := t.emit(*ins); err != nil {
 		return err
 	}
 	t.setInt(ins.Dst.Reg, unknown())
@@ -570,7 +649,7 @@ func (t *tracer) stepALU1(ins isa.Instr) error {
 	return nil
 }
 
-func (t *tracer) stepLEA(ins isa.Instr) error {
+func (t *tracer) stepLEA(ins *isa.Instr) error {
 	st := t.memAddr(ins.Src.Mem)
 	if ins.Dst.Reg != isa.SP && !t.curOpts.ResultsUnknown {
 		switch st.kind {
@@ -608,7 +687,7 @@ func (t *tracer) stepLEA(ins isa.Instr) error {
 	return nil
 }
 
-func (t *tracer) stepSetcc(ins isa.Instr) error {
+func (t *tracer) stepSetcc(ins *isa.Instr) error {
 	if t.w.flags.known && !t.curOpts.ResultsUnknown {
 		v := uint64(0)
 		if ins.CC.Holds(t.w.flags.fl) {
@@ -621,14 +700,14 @@ func (t *tracer) stepSetcc(ins isa.Instr) error {
 	if t.w.fdirty {
 		return fmt.Errorf("%w: setcc reads dirty runtime flags at 0x%x", ErrUnsupported, ins.Addr)
 	}
-	if err := t.emit(ins); err != nil {
+	if err := t.emit(*ins); err != nil {
 		return err
 	}
 	t.setInt(ins.Dst.Reg, unknown())
 	return nil
 }
 
-func (t *tracer) stepFPU(ins isa.Instr) error {
+func (t *tracer) stepFPU(ins *isa.Instr) error {
 	d, s := t.w.f[ins.Dst.Reg], t.w.f[ins.Src.Reg]
 	op := ins.Op
 	readsDst := op != isa.FMOV && op != isa.FSQRT
@@ -660,7 +739,7 @@ func (t *tracer) stepFPU(ins isa.Instr) error {
 	if err := t.matFloat(ins.Src.Reg); err != nil {
 		return err
 	}
-	if err := t.emit(ins); err != nil {
+	if err := t.emit(*ins); err != nil {
 		return err
 	}
 	if op != isa.FCMP {
@@ -672,7 +751,7 @@ func (t *tracer) stepFPU(ins isa.Instr) error {
 	return nil
 }
 
-func (t *tracer) stepVector(ins isa.Instr) error {
+func (t *tracer) stepVector(ins *isa.Instr) error {
 	// Vector state is not tracked: operands fold, results are runtime
 	// values. VBCAST needs its float source materialized.
 	switch ins.Op {
@@ -701,23 +780,23 @@ func (t *tracer) stepVector(ins isa.Instr) error {
 		if err := t.matFloat(ins.Src.Reg); err != nil {
 			return err
 		}
-		return t.emit(ins)
+		return t.emit(*ins)
 	case isa.VHADD:
-		if err := t.emit(ins); err != nil {
+		if err := t.emit(*ins); err != nil {
 			return err
 		}
 		t.w.f[ins.Dst.Reg] = fval{}
 		return nil
 	default:
-		return t.emit(ins)
+		return t.emit(*ins)
 	}
 }
 
-func (t *tracer) stepPush(ins isa.Instr) error {
+func (t *tracer) stepPush(ins *isa.Instr) error {
 	if err := t.matInt(ins.Dst.Reg); err != nil {
 		return err
 	}
-	if err := t.emit(ins); err != nil {
+	if err := t.emit(*ins); err != nil {
 		return err
 	}
 	if delta, ok := t.w.spDelta(); ok {
@@ -732,8 +811,8 @@ func (t *tracer) stepPush(ins isa.Instr) error {
 	return nil
 }
 
-func (t *tracer) stepPop(ins isa.Instr) error {
-	if err := t.emit(ins); err != nil {
+func (t *tracer) stepPop(ins *isa.Instr) error {
+	if err := t.emit(*ins); err != nil {
 		return err
 	}
 	if delta, ok := t.w.spDelta(); ok {
@@ -764,8 +843,7 @@ func (t *tracer) stepPop(ins isa.Instr) error {
 // stepJump processes a direct jump or a trace-over to a known target.
 func (t *tracer) stepJump(target uint64) (bool, error) {
 	// If an identical translation exists, link to it.
-	key := blockKey{addr: target, wkey: t.w.key(), fkey: framesKey(t.frames)}
-	if id, ok := t.keyed[key]; ok {
+	if id, _ := t.findBlock(target, t.w); id >= 0 {
 		t.rep.classify(classKept, "jump to existing translation")
 		t.endBlock(termFall, id, -1, 0)
 		return true, nil
@@ -774,8 +852,13 @@ func (t *tracer) stepJump(target uint64) (bool, error) {
 	// This is a backstop against no-progress loops; genuine full unrolls
 	// are bounded by the instruction and code-size budgets.
 	const traceOverBudget = 4096
-	t.overCount[target]++
-	if t.overCount[target] > traceOverBudget {
+	oc := t.overCount[target]
+	if oc.block != t.cur.id {
+		oc = overTally{block: t.cur.id}
+	}
+	oc.n++
+	t.overCount[target] = oc
+	if oc.n > traceOverBudget {
 		id, err := t.edgeTo(target)
 		if err != nil {
 			return true, err
@@ -796,7 +879,7 @@ func (t *tracer) stepJump(target uint64) (bool, error) {
 	return false, nil
 }
 
-func (t *tracer) stepJcc(ins isa.Instr) (bool, error) {
+func (t *tracer) stepJcc(ins *isa.Instr) (bool, error) {
 	if t.w.flags.known && !t.curOpts.BranchesUnknown {
 		if ins.CC.Holds(t.w.flags.fl) {
 			t.rep.note("branch direction known: taken")
@@ -823,8 +906,8 @@ func (t *tracer) stepJcc(ins isa.Instr) (bool, error) {
 	return true, nil
 }
 
-func (t *tracer) stepRet(ins isa.Instr) (bool, error) {
-	if len(t.frames) == 0 {
+func (t *tracer) stepRet(ins *isa.Instr) (bool, error) {
+	if t.ctx == 0 {
 		delta, ok := t.w.spDelta()
 		if !ok || delta != 0 {
 			return true, fmt.Errorf("%w: return with unbalanced stack (delta=%d, tracked=%v)", ErrUnsupported, delta, ok)
@@ -842,7 +925,7 @@ func (t *tracer) stepRet(ins isa.Instr) (bool, error) {
 			}
 			t.rep.overhead.HandlerCalls++
 		}
-		if err := t.emit(ins); err != nil {
+		if err := t.emit(*ins); err != nil {
 			return true, err
 		}
 		t.endBlock(termEnd, -1, -1, 0)
@@ -850,13 +933,13 @@ func (t *tracer) stepRet(ins isa.Instr) (bool, error) {
 	}
 	// Inlined return: continue at the saved return address (paper,
 	// Section III.E).
-	fr := t.frames[len(t.frames)-1]
+	fr := &t.ctxs[t.ctx]
 	delta, ok := t.w.spDelta()
 	if !ok || delta != fr.delta {
 		return true, fmt.Errorf("%w: inlined callee returns with unbalanced stack", ErrUnsupported)
 	}
 	t.rep.classify(classInlined, "return from inlined call")
-	t.frames = t.frames[:len(t.frames)-1]
+	t.ctx = fr.parent
 	t.curOpts = fr.opts
 	t.curFn = fr.fn
 	t.pc = fr.retAddr
@@ -869,10 +952,11 @@ func (t *tracer) stepCall(target, next uint64) (bool, error) {
 	}
 	opts := t.cfg.optsFor(target)
 	if opts.NoInline {
-		return false, t.emitCallInstr(isa.MakeRel(isa.CALL, target))
+		call := isa.MakeRel(isa.CALL, target)
+		return false, t.emitCallInstr(&call)
 	}
-	if len(t.frames) >= t.cfg.MaxInlineDepth {
-		return true, fmt.Errorf("%w: inlining %d deep at call to 0x%x", ErrInlineDepth, len(t.frames), target)
+	if depth := t.ctxs[t.ctx].depth; depth >= t.cfg.MaxInlineDepth {
+		return true, fmt.Errorf("%w: inlining %d deep at call to 0x%x", ErrInlineDepth, depth, target)
 	}
 	delta, ok := t.w.spDelta()
 	if !ok {
@@ -882,7 +966,7 @@ func (t *tracer) stepCall(target, next uint64) (bool, error) {
 	// remembers where to continue.
 	t.rep.classify(classInlined, "call inlined into trace")
 	t.rep.inlinedCalls++
-	t.frames = append(t.frames, frame{retAddr: next, fn: t.curFn, delta: delta, opts: t.curOpts})
+	t.ctx = t.pushCtx(frame{retAddr: next, fn: t.curFn, delta: delta, opts: t.curOpts})
 	t.curFn = target
 	t.curOpts = opts
 	t.pc = target
@@ -911,7 +995,7 @@ func (t *tracer) stepMakeDynamic() error {
 // content is recreated on the next materialization). Returns done=false
 // when no reduction applies, leaving the generic emit path to handle the
 // instruction.
-func (t *tracer) stepDivPow2(ins isa.Instr, d uint64) (bool, error) {
+func (t *tracer) stepDivPow2(ins *isa.Instr, d uint64) (bool, error) {
 	dst := ins.Dst.Reg
 	if d == 0 || d&(d-1) != 0 {
 		return false, nil
@@ -1004,7 +1088,7 @@ func (t *tracer) stepDivPow2(ins isa.Instr, d uint64) (bool, error) {
 // registers are materialized ("compensation code to make registers
 // 'unknown' which are parameters according to the ABI"), caller-saved
 // registers are dead afterwards, callee-saved registers keep their state.
-func (t *tracer) emitCallInstr(ins isa.Instr) error {
+func (t *tracer) emitCallInstr(ins *isa.Instr) error {
 	for _, r := range isa.IntArgRegs {
 		if err := t.matInt(r); err != nil {
 			return err
@@ -1015,7 +1099,7 @@ func (t *tracer) emitCallInstr(ins isa.Instr) error {
 			return err
 		}
 	}
-	if err := t.emit(ins); err != nil {
+	if err := t.emit(*ins); err != nil {
 		return err
 	}
 	t.clobberCallerSaved()
@@ -1058,77 +1142,83 @@ func (t *tracer) endBlock(kind termKind, succ, jccTarget int, cc isa.Cond) {
 }
 
 // edgeTo resolves a control-flow edge into state (addr, current world,
-// current frames): an existing identical translation, a new pending block,
-// or — once the per-address variant threshold is reached — a migration to
-// an existing or generalized known-world state with compensation code
-// (paper, Section III.F).
+// current inline context): an existing identical translation, a new pending
+// block, or — once the per-address variant threshold is reached — a
+// migration to an existing or generalized known-world state with
+// compensation code (paper, Section III.F).
 func (t *tracer) edgeTo(addr uint64) (int, error) {
-	key := blockKey{addr: addr, wkey: t.w.key(), fkey: framesKey(t.frames)}
-	if id, ok := t.keyed[key]; ok {
+	id, s := t.findBlock(addr, t.w)
+	if id >= 0 {
 		return id, nil
 	}
-	site := variantSite{addr: addr, fkey: key.fkey}
-	ids := t.sites[site]
-	if len(ids) < t.cfg.maxVariants(t.curOpts) {
-		return t.newBlock(addr, t.w.clone(), t.frames, t.curFn)
+	if s.n < t.cfg.maxVariants(t.curOpts) {
+		return t.newBlock(addr, t.snapshot(), t.curFn)
 	}
 	// Threshold reached: find the compatible existing translation needing
 	// the least compensation.
 	t.rep.migrations++
-	best, bestCost := -1, int(^uint(0)>>1)
-	var bestI, bestF []isa.Reg
-	for _, id := range ids {
-		tb := t.blocks[id]
-		ic, fc, ok := compat(t.w, tb.world)
-		if ok && len(ic)+len(fc) < bestCost {
-			best, bestCost, bestI, bestF = id, len(ic)+len(fc), ic, fc
+	best, bestCost, bestComp := -1, int(^uint(0)>>1), regMask(0)
+	others := make([]*world, 0, s.n)
+	for id := s.head; id >= 0; id = t.blocks[id].next {
+		tw := t.blocks[id].world
+		others = append(others, tw)
+		if comp, ok := compat(t.w, tw); ok && bits.OnesCount64(uint64(comp)) < bestCost {
+			best, bestCost, bestComp = id, bits.OnesCount64(uint64(comp)), comp
 		}
 	}
 	if best >= 0 {
-		return t.trampolineTo(best, bestI, bestF)
+		return t.trampolineTo(best, bestComp)
 	}
 	// No migration possible: generalize towards unknown (terminates at
 	// the all-unknown state).
-	others := make([]*world, 0, len(ids))
-	for _, id := range ids {
-		others = append(others, t.blocks[id].world)
-	}
 	gw := generalize(t.w, others)
-	gkey := blockKey{addr: addr, wkey: gw.key(), fkey: key.fkey}
-	if id, ok := t.keyed[gkey]; ok {
-		ic, fc, ok2 := compat(t.w, t.blocks[id].world)
-		if !ok2 {
+	if id, _ := t.findBlock(addr, gw); id >= 0 {
+		comp, ok := compat(t.w, t.blocks[id].world)
+		if !ok {
 			return 0, fmt.Errorf("%w: generalized world incompatible", ErrUnsupported)
 		}
-		return t.trampolineTo(id, ic, fc)
+		return t.trampolineTo(id, comp)
 	}
-	id, err := t.newBlock(addr, gw, t.frames, t.curFn)
+	id, err := t.newBlock(addr, gw, t.curFn)
 	if err != nil {
 		return 0, err
 	}
-	ic, fc, ok := compat(t.w, gw)
+	comp, ok := compat(t.w, gw)
 	if !ok {
 		return 0, fmt.Errorf("%w: world does not reach its own generalization", ErrUnsupported)
 	}
-	return t.trampolineTo(id, ic, fc)
+	return t.trampolineTo(id, comp)
 }
 
 // trampolineTo links to target, inserting a compensation block that
-// materializes the listed registers when needed.
-func (t *tracer) trampolineTo(target int, intRegs, fRegs []isa.Reg) (int, error) {
-	if len(intRegs) == 0 && len(fRegs) == 0 {
+// materializes the registers in comp when there are any.
+func (t *tracer) trampolineTo(target int, comp regMask) (int, error) {
+	if comp == 0 {
 		return target, nil
 	}
 	if len(t.blocks) >= t.cfg.MaxBlocks {
 		return 0, ErrTooManyBlocks
 	}
-	tb := &eblock{id: len(t.blocks), term: termFall, succ: target, jcc: -1}
+	tb := &eblock{id: len(t.blocks), term: termFall, succ: target, jcc: -1, next: -1}
 	t.blocks = append(t.blocks, tb)
+	add := func(ins isa.Instr) error {
+		n, err := isa.EncodedLen(ins)
+		if err != nil {
+			return err
+		}
+		tb.ins = append(tb.ins, ins)
+		tb.meta = append(tb.meta, insMeta{})
+		tb.bytes += n
+		t.codeBytes += n
+		t.rep.emitN++
+		t.rep.overhead.TrampolineInstrs++
+		return nil
+	}
 	delta, _ := t.w.spDelta()
-	for _, r := range intRegs {
-		v := t.w.r[r]
+	for regs := comp.ints(); regs != 0; {
+		r := regs.nextReg()
 		var ins isa.Instr
-		switch v.kind {
+		switch v := t.w.r[r]; v.kind {
 		case vConst:
 			ins = isa.MakeRI(isa.MOVI, r, int64(v.val))
 		case vStackRel:
@@ -1140,33 +1230,17 @@ func (t *tracer) trampolineTo(target int, intRegs, fRegs []isa.Reg) (int, error)
 		default:
 			continue
 		}
-		n, err := isa.EncodedLen(ins)
-		if err != nil {
+		if err := add(ins); err != nil {
 			return 0, err
 		}
-		tb.ins = append(tb.ins, ins)
-		tb.meta = append(tb.meta, insMeta{})
-		tb.bytes += n
-		t.codeBytes += n
-		t.rep.emitN++
-		t.rep.overhead.TrampolineInstrs++
 	}
-	for _, r := range fRegs {
-		f := t.w.f[r]
-		if !f.known {
-			continue
+	for regs := comp.floats(); regs != 0; {
+		r := regs.nextReg()
+		if f := t.w.f[r]; f.known {
+			if err := add(isa.Instr{Op: isa.FMOVI, Dst: isa.FRegOp(r), Src: isa.FImmOp(f.val)}); err != nil {
+				return 0, err
+			}
 		}
-		ins := isa.Instr{Op: isa.FMOVI, Dst: isa.FRegOp(r), Src: isa.FImmOp(f.val)}
-		n, err := isa.EncodedLen(ins)
-		if err != nil {
-			return 0, err
-		}
-		tb.ins = append(tb.ins, ins)
-		tb.meta = append(tb.meta, insMeta{})
-		tb.bytes += n
-		t.codeBytes += n
-		t.rep.emitN++
-		t.rep.overhead.TrampolineInstrs++
 	}
 	if t.codeBytes > t.cfg.MaxCodeBytes {
 		return 0, ErrCodeBufferFull

@@ -29,11 +29,16 @@ import "repro/internal/isa"
 // and the tracer never emits vector code on its own, so v6/v7 are free
 // unless the traced code itself used them.
 
-// vectorize runs the pass over every block.
-func vectorize(blocks []*eblock) {
-	for _, b := range blocks {
+// vectorize runs the pass over every block (all compacted: it matches
+// adjacent instructions) and returns how many instructions it saved.
+func (o *optimizer) vectorize() int {
+	saved := 0
+	for _, b := range o.blocks {
+		before := len(b.ins)
 		vectorizeBlock(b)
+		saved += before - len(b.ins)
 	}
+	return saved
 }
 
 // vecGroup is one matched run of four lanes.
@@ -98,12 +103,6 @@ func vectorizeBlock(b *eblock) {
 		// every frame-sensitive pass).
 	}
 	b.meta = make([]insMeta, len(b.ins))
-	b.bytes = 0
-	for _, in := range b.ins {
-		if n, err := isa.EncodedLen(in); err == nil {
-			b.bytes += n
-		}
-	}
 }
 
 func usesVec(b *eblock, v isa.Reg) bool {

@@ -1,9 +1,8 @@
 package brew
 
 import (
-	"hash/fnv"
 	"math"
-	"sort"
+	"math/bits"
 
 	"repro/internal/isa"
 )
@@ -29,8 +28,8 @@ const (
 // unmaterialized and are materialized lazily when an emitted instruction
 // needs them (the paper's compensation code).
 type ival struct {
-	kind vKind
 	val  uint64 // constant, or stack delta (as uint64 bit pattern of int64)
+	kind vKind
 	mat  bool
 }
 
@@ -43,8 +42,8 @@ func (v ival) delta() int64  { return int64(v.val) }
 
 // fval is the tracked state of one floating-point register.
 type fval struct {
-	known bool
 	val   float64
+	known bool
 	mat   bool
 }
 
@@ -54,21 +53,52 @@ type flagval struct {
 	fl    isa.Flags
 }
 
-// stackSlot is a traced stack-memory cell keyed by its delta from entry SP.
+// stackSlot is a traced stack-memory cell at delta bytes from the entry SP:
+// an ival (never materialized — a slot is memory) of 1 or 8 bytes. Float
+// bits are stored as vConst raw bits.
 type stackSlot struct {
-	size uint8 // 1 or 8
-	v    ival  // float bits are stored as vConst raw bits
+	delta int64
+	val   uint64
+	kind  vKind
+	size  uint8
 }
 
-// memByte is one byte of the traced-writes overlay on top of declared-known
-// memory.
-type memByte struct {
-	known bool
-	b     byte
+func (s stackSlot) end() int64 { return s.delta + int64(s.size) }
+func (s stackSlot) v() ival    { return ival{kind: s.kind, val: s.val} }
+
+// memWord is the traced-writes overlay on one aligned 8-byte word of
+// declared-known memory: which of its bytes were written during the trace
+// (have), which of those hold a known value (known, a subset of have; the
+// rest are poisoned: runtime-valued, shadowing the declared range), and the
+// known bytes themselves, little-endian, zero where not known. A word with
+// no written byte is not stored, so equal overlays are equal slices.
+type memWord struct {
+	addr  uint64
+	have  uint8
+	known uint8
+	val   uint64
+}
+
+// byteMask widens a per-byte bit set to the bytes it selects.
+func byteMask(set uint8) uint64 {
+	var m uint64
+	for ; set != 0; set &= set - 1 {
+		m |= 0xFF << (8 * uint(bits.TrailingZeros8(set)))
+	}
+	return m
 }
 
 // world is the known-world state (paper, Section III.F): for every value
 // location, whether its content is known, and if so what it is.
+//
+// The two overlays are sorted slices (stack by descending delta — the stack
+// grows down, so a push appends — with slots that never overlap; mem by
+// addr) that worlds share until one of them writes: a block's entry
+// snapshot and the tracer's working world start out on the same backing
+// arrays. The ownership rule: a world may store into a backing array only
+// while its *Shared flag is false; shareInto sets the flag on both sides and
+// the first in-place write by either copies (ownStack/ownMem). Dropping a
+// prefix or suffix re-slices without writing and needs no copy.
 type world struct {
 	r     [isa.NumRegs]ival
 	f     [isa.NumRegs]fval
@@ -85,30 +115,46 @@ type world struct {
 	// stores through unknown pointers cannot touch tracked slots below
 	// the entry SP.
 	escaped bool
-	stack   map[int64]stackSlot
-	mem     map[uint64]memByte
+
+	stackShared, memShared bool
+	stack                  []stackSlot
+	mem                    []memWord
 }
 
 func newWorld() *world {
-	w := &world{
-		stack: make(map[int64]stackSlot),
-		mem:   make(map[uint64]memByte),
-	}
+	w := &world{}
 	w.r[isa.SP] = ival{kind: vStackRel, val: 0, mat: true}
 	return w
 }
 
-func (w *world) clone() *world {
-	nw := &world{r: w.r, f: w.f, flags: w.flags, fdirty: w.fdirty, escaped: w.escaped}
-	nw.stack = make(map[int64]stackSlot, len(w.stack))
-	for k, v := range w.stack {
-		nw.stack[k] = v
-	}
-	nw.mem = make(map[uint64]memByte, len(w.mem))
-	for k, v := range w.mem {
-		nw.mem[k] = v
-	}
+// shareInto makes dst a copy of w on the same overlay arrays; both sides
+// copy an overlay before their next in-place write to it.
+func (w *world) shareInto(dst *world) {
+	w.stackShared, w.memShared = true, true
+	*dst = *w
+}
+
+// share is shareInto a new world.
+func (w *world) share() *world {
+	nw := new(world)
+	w.shareInto(nw)
 	return nw
+}
+
+// ownStack makes the stack overlay writable in place.
+func (w *world) ownStack() {
+	if w.stackShared {
+		w.stack = append(make([]stackSlot, 0, len(w.stack)+len(w.stack)/4+8), w.stack...)
+		w.stackShared = false
+	}
+}
+
+// ownMem makes the memory overlay writable in place.
+func (w *world) ownMem() {
+	if w.memShared {
+		w.mem = append(make([]memWord, 0, len(w.mem)+2), w.mem...)
+		w.memShared = false
+	}
 }
 
 // spDelta returns the current symbolic stack-pointer offset from entry SP.
@@ -121,61 +167,128 @@ func (w *world) spDelta() (int64, bool) {
 	return sp.delta(), true
 }
 
-// writeStack records a traced stack store, invalidating overlapping slots.
-func (w *world) writeStack(delta int64, size uint8, v ival) {
-	for off := delta - 7; off < delta+int64(size); off++ {
-		if s, ok := w.stack[off]; ok {
-			if off+int64(s.size) > delta && off < delta+int64(size) {
-				delete(w.stack, off)
-			}
+// stackBelow returns the index of the first slot strictly below delta (the
+// overlay is sorted by descending delta).
+func (w *world) stackBelow(delta int64) int {
+	lo, hi := 0, len(w.stack)
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); w.stack[mid].delta >= delta {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
 	}
-	w.stack[delta] = stackSlot{size: size, v: v}
+	return lo
+}
+
+// writeStack records a traced stack store, invalidating overlapping slots.
+// v's materialization is dropped: a slot is memory.
+func (w *world) writeStack(delta int64, size uint8, v ival) {
+	ns := stackSlot{delta: delta, val: v.val, kind: v.kind, size: size}
+	// [lo, hi) are the slots overlapping [delta, end): of those starting
+	// below end, the run — slots never overlap, so their ends descend with
+	// their starts — that end above delta.
+	lo := w.stackBelow(ns.end())
+	hi := lo
+	for hi < len(w.stack) && w.stack[hi].end() > delta {
+		hi++
+	}
+	if hi == lo+1 && w.stack[lo] == ns {
+		return
+	}
+	w.ownStack()
+	switch {
+	case hi == lo:
+		w.stack = append(w.stack, stackSlot{})
+		copy(w.stack[lo+1:], w.stack[lo:])
+	case hi > lo+1:
+		w.stack = append(w.stack[:lo+1], w.stack[hi:]...)
+	}
+	w.stack[lo] = ns
+}
+
+// slotAt returns the slot starting exactly at delta.
+func (w *world) slotAt(delta int64) (stackSlot, bool) {
+	if i := w.stackBelow(delta + 1); i < len(w.stack) && w.stack[i].delta == delta {
+		return w.stack[i], true
+	}
+	return stackSlot{}, false
 }
 
 // readStack returns the traced content of a stack slot, if exactly tracked.
 func (w *world) readStack(delta int64, size uint8) (ival, bool) {
-	s, ok := w.stack[delta]
+	s, ok := w.slotAt(delta)
 	if !ok || s.size != size {
 		return ival{}, false
 	}
-	return s.v, true
+	return s.v(), true
 }
 
 // clearStack forgets all traced stack contents (conservative treatment of
 // emitted calls: the callee may overwrite the frame through escaped
 // pointers and certainly overwrites memory below SP).
 func (w *world) clearStack() {
-	for k := range w.stack {
-		delete(w.stack, k)
-	}
+	w.stack, w.stackShared = nil, false
 }
 
 // clearStackCallerVisible drops tracked slots at or above the entry SP
 // (delta >= 0): that region belongs to the caller and may legally be
 // aliased by pointers the traced function received.
 func (w *world) clearStackCallerVisible() {
-	for k := range w.stack {
-		if k >= 0 {
-			delete(w.stack, k)
-		}
-	}
+	w.stack = w.stack[w.stackBelow(0):]
 }
 
 // clearStackBelow drops tracked slots strictly below the given delta: dead
 // space a callee is free to clobber.
 func (w *world) clearStackBelow(delta int64) {
-	for k := range w.stack {
-		if k < delta {
-			delete(w.stack, k)
-		}
-	}
+	w.stack = w.stack[:w.stackBelow(delta)]
 }
 
 // clearMem forgets the traced-writes overlay.
 func (w *world) clearMem() {
-	for k := range w.mem {
-		delete(w.mem, k)
+	w.mem, w.memShared = nil, false
+}
+
+// memFrom returns the index of the first overlay word at or above addr.
+func (w *world) memFrom(addr uint64) int {
+	lo, hi := 0, len(w.mem)
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); w.mem[mid].addr < addr {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// memByte returns the overlay's entry for one byte: present (the byte was
+// written during the trace), and if so whether its value is known.
+func (w *world) memByte(addr uint64) (b byte, known, present bool) {
+	i := w.memFrom(addr &^ 7)
+	if i == len(w.mem) || w.mem[i].addr != addr&^7 {
+		return 0, false, false
+	}
+	mw, bit := w.mem[i], uint8(1)<<(addr&7)
+	return byte(mw.val >> (8 * (addr & 7))), mw.known&bit != 0, mw.have&bit != 0
+}
+
+// setMemByte writes one overlay byte.
+func (w *world) setMemByte(addr uint64, b byte, known bool) {
+	w.ownMem()
+	i := w.memFrom(addr &^ 7)
+	if i == len(w.mem) || w.mem[i].addr != addr&^7 {
+		w.mem = append(w.mem, memWord{})
+		copy(w.mem[i+1:], w.mem[i:])
+		w.mem[i] = memWord{addr: addr &^ 7}
+	}
+	mw, bit, sh := &w.mem[i], uint8(1)<<(addr&7), 8*(addr&7)
+	mw.have |= bit
+	mw.known &^= bit
+	mw.val &^= 0xFF << sh
+	if known {
+		mw.known |= bit
+		mw.val |= uint64(b) << sh
 	}
 }
 
@@ -183,70 +296,16 @@ func (w *world) clearMem() {
 // declared-known range.
 func (w *world) poisonMem(addr uint64, size int) {
 	for i := 0; i < size; i++ {
-		w.mem[addr+uint64(i)] = memByte{known: false}
+		w.setMemByte(addr+uint64(i), 0, false)
 	}
 }
 
 // overlayWrite records a traced write of a known value to known memory.
 func (w *world) overlayWrite(addr uint64, v uint64, size int) {
 	for i := 0; i < size; i++ {
-		w.mem[addr+uint64(i)] = memByte{known: true, b: byte(v)}
+		w.setMemByte(addr+uint64(i), byte(v), true)
 		v >>= 8
 	}
-}
-
-// key produces a collision-resistant-enough identity of the world for
-// block keying: FNV-1a over a canonical serialization. Blocks starting at
-// the same original address are different translations when their
-// known-world state differs (paper, Section III.F).
-func (w *world) key() uint64 {
-	h := fnv.New64a()
-	buf := make([]byte, 0, 512)
-	put := func(v uint64) {
-		buf = append(buf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-			byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
-	}
-	for i := range w.r {
-		put(uint64(w.r[i].kind) | boolBit(w.r[i].mat)<<8)
-		if w.r[i].isKnown() {
-			put(w.r[i].val)
-		}
-	}
-	for i := range w.f {
-		put(boolBit(w.f[i].known) | boolBit(w.f[i].mat)<<1)
-		if w.f[i].known {
-			put(math.Float64bits(w.f[i].val))
-		}
-	}
-	put(boolBit(w.flags.known) | boolBit(w.flags.fl.Z)<<1 | boolBit(w.flags.fl.S)<<2 |
-		boolBit(w.flags.fl.C)<<3 | boolBit(w.flags.fl.O)<<4 | boolBit(w.fdirty)<<5 |
-		boolBit(w.escaped)<<6)
-
-	stackKeys := make([]int64, 0, len(w.stack))
-	for k := range w.stack {
-		stackKeys = append(stackKeys, k)
-	}
-	sort.Slice(stackKeys, func(i, j int) bool { return stackKeys[i] < stackKeys[j] })
-	for _, k := range stackKeys {
-		s := w.stack[k]
-		put(uint64(k))
-		put(uint64(s.size) | uint64(s.v.kind)<<8)
-		put(s.v.val)
-	}
-
-	memKeys := make([]uint64, 0, len(w.mem))
-	for k := range w.mem {
-		memKeys = append(memKeys, k)
-	}
-	sort.Slice(memKeys, func(i, j int) bool { return memKeys[i] < memKeys[j] })
-	for _, k := range memKeys {
-		mb := w.mem[k]
-		put(k)
-		put(boolBit(mb.known) | uint64(mb.b)<<8)
-	}
-
-	h.Write(buf)
-	return h.Sum64()
 }
 
 func boolBit(b bool) uint64 {
@@ -256,11 +315,87 @@ func boolBit(b bool) uint64 {
 	return 0
 }
 
+// worldHashMask is all ones outside tests; the collision tests clear it so
+// that every world hashes to zero and only same() tells worlds apart.
+var worldHashMask = ^uint64(0)
+
+// hash folds the world's canonical content, a word at a time and without
+// allocating, into 64 bits. Blocks starting at the same original address
+// are different translations when their known-world state differs (paper,
+// Section III.F); the hash only nominates an existing translation for an
+// edge — equal hashes prove nothing, same() decides.
+func (w *world) hash() uint64 {
+	h := uint64(14695981039346656037)
+	mix := func(v uint64) {
+		h = (h ^ v) * 1099511628211
+		h ^= h >> 29
+	}
+	for i := range w.r {
+		mix(uint64(w.r[i].kind) | boolBit(w.r[i].mat)<<8)
+		if w.r[i].isKnown() {
+			mix(w.r[i].val)
+		}
+	}
+	for i := range w.f {
+		mix(boolBit(w.f[i].known) | boolBit(w.f[i].mat)<<1)
+		if w.f[i].known {
+			mix(math.Float64bits(w.f[i].val))
+		}
+	}
+	mix(w.flags.fl.Bits()<<1 | boolBit(w.flags.known) | boolBit(w.fdirty)<<5 | boolBit(w.escaped)<<6)
+	for _, s := range w.stack {
+		mix(uint64(s.delta))
+		mix(uint64(s.size) | uint64(s.kind)<<8)
+		mix(s.val)
+	}
+	for _, m := range w.mem {
+		mix(m.addr)
+		mix(uint64(m.have) | uint64(m.known)<<8)
+		mix(m.val)
+	}
+	return h & worldHashMask
+}
+
+// same reports whether two worlds are the same known-world state: the
+// identity under which an edge may link to an existing translation. It
+// compares exactly what hash folds — a register's value only where known,
+// every slot, every overlay byte.
+func same(a, b *world) bool {
+	if a.flags != b.flags || a.fdirty != b.fdirty || a.escaped != b.escaped ||
+		len(a.stack) != len(b.stack) || len(a.mem) != len(b.mem) {
+		return false
+	}
+	for i := range a.r {
+		x, y := a.r[i], b.r[i]
+		if x.kind != y.kind || x.mat != y.mat || (x.isKnown() && x.val != y.val) {
+			return false
+		}
+	}
+	for i := range a.f {
+		x, y := a.f[i], b.f[i]
+		if x.known != y.known || x.mat != y.mat ||
+			(x.known && math.Float64bits(x.val) != math.Float64bits(y.val)) {
+			return false
+		}
+	}
+	for i, x := range a.stack {
+		if x != b.stack[i] {
+			return false
+		}
+	}
+	for i, x := range a.mem {
+		if x != b.mem[i] {
+			return false
+		}
+	}
+	return true
+}
+
 // compat reports whether control flow in state w may jump into a block
-// traced with entry state t, and if so which registers need materializing
-// compensation first (paper: "we can produce compensation code for
-// migrating between world states as long as there are only values changing
-// from known to unknown").
+// traced with entry state t, and if so which registers (integer and float
+// files of the returned set) need materializing compensation first (paper:
+// "we can produce compensation code for migrating between world states as
+// long as there are only values changing from known to unknown").
 //
 // Requirements:
 //   - wherever t assumes a known value, w must know the same value;
@@ -273,69 +408,73 @@ func boolBit(b bool) uint64 {
 //     materialized) must actually hold their value at runtime: w-known
 //     unmaterialized registers migrating to such a spot need
 //     materialization.
-func compat(w, t *world) (intComp []isa.Reg, fComp []isa.Reg, ok bool) {
+func compat(w, t *world) (comp regMask, ok bool) {
 	for i := range w.r {
 		wv, tv := w.r[i], t.r[i]
 		if tv.isKnown() {
 			if wv.kind != tv.kind || wv.val != tv.val {
-				return nil, nil, false
+				return 0, false
 			}
 			if tv.mat && !wv.mat {
-				intComp = append(intComp, isa.Reg(i))
+				comp |= intBit(isa.Reg(i))
 			}
 		} else if wv.isKnown() && !wv.mat {
-			intComp = append(intComp, isa.Reg(i))
+			comp |= intBit(isa.Reg(i))
 		}
 	}
 	for i := range w.f {
 		wv, tv := w.f[i], t.f[i]
 		if tv.known {
 			if !wv.known || math.Float64bits(wv.val) != math.Float64bits(tv.val) {
-				return nil, nil, false
+				return 0, false
 			}
 			if tv.mat && !wv.mat {
-				fComp = append(fComp, isa.Reg(i))
+				comp |= floatBit(isa.Reg(i))
 			}
 		} else if wv.known && !wv.mat {
-			fComp = append(fComp, isa.Reg(i))
+			comp |= floatBit(isa.Reg(i))
 		}
 	}
 	if t.flags.known {
 		if !w.flags.known || w.flags.fl != t.flags.fl {
-			return nil, nil, false
+			return 0, false
 		}
 	} else if !t.fdirty {
 		// t's code may read the runtime flags, which it assumed were
 		// produced by the original flag-setter sequence; w must arrive
 		// with clean runtime flags and no silently-tracked state.
 		if w.flags.known || w.fdirty {
-			return nil, nil, false
+			return 0, false
 		}
 	}
 	// t traced without frame escape may fold slots across unknown stores;
 	// arriving with an escaped frame would make those folds stale.
 	if w.escaped && !t.escaped {
-		return nil, nil, false
+		return 0, false
 	}
-	for k, ts := range t.stack {
-		ws, okk := w.stack[k]
-		if ts.v.isKnown() {
-			if !okk || ws.size != ts.size || ws.v.kind != ts.v.kind || ws.v.val != ts.v.val {
-				return nil, nil, false
-			}
+	for _, ts := range t.stack {
+		if ts.kind == vUnknown {
+			continue
+		}
+		if ws, found := w.slotAt(ts.delta); !found || ws != ts {
+			return 0, false
 		}
 	}
-	for k, tb := range t.mem {
-		wb, okk := w.mem[k]
-		if tb.known {
-			if !okk || !wb.known || wb.b != tb.b {
-				return nil, nil, false
-			}
+	for _, tm := range t.mem {
+		if tm.known == 0 {
+			// t poisoned (unknown) entries are fine: t's code treats those
+			// bytes as runtime memory, which always holds the truth.
+			continue
 		}
-		// t poisoned (unknown) entries are fine: t's code treats those
-		// bytes as runtime memory, which always holds the truth.
+		i := w.memFrom(tm.addr)
+		if i == len(w.mem) || w.mem[i].addr != tm.addr {
+			return 0, false
+		}
+		if wm := w.mem[i]; tm.known&^wm.known != 0 || (tm.val^wm.val)&byteMask(tm.known) != 0 {
+			return 0, false
+		}
 	}
-	return intComp, fComp, true
+	return comp, true
 }
 
 // generalize returns a copy of w with every location that is not known
@@ -343,7 +482,7 @@ func compat(w, t *world) (intComp []isa.Reg, fComp []isa.Reg, ok bool) {
 // generalized world always terminates at all-unknown (paper, Section
 // III.F).
 func generalize(w *world, others []*world) *world {
-	g := w.clone()
+	g := w.share()
 	for i := range g.r {
 		if i == int(isa.SP) {
 			continue // SP stays symbolic
@@ -368,22 +507,51 @@ func generalize(w *world, others []*world) *world {
 	g.fdirty = true  // incoming runtime flags are arbitrary
 	g.escaped = true // most conservative: accept any incoming frame state
 	// Keep only stack slots agreeing across all worlds.
-	for k, s := range g.stack {
+	agreed := func(s stackSlot) bool {
 		for _, o := range others {
-			os, ok := o.stack[k]
-			if !ok || os != s {
-				delete(g.stack, k)
-				break
+			if os, found := o.slotAt(s.delta); !found || os != s {
+				return false
 			}
 		}
+		return true
 	}
-	for k, b := range g.mem {
+	for i, s := range g.stack {
+		if agreed(s) {
+			continue
+		}
+		kept := append(make([]stackSlot, 0, len(g.stack)-1), g.stack[:i]...)
+		for _, s := range g.stack[i+1:] {
+			if agreed(s) {
+				kept = append(kept, s)
+			}
+		}
+		g.stack, g.stackShared = kept, false
+		break
+	}
+	// Overlay bytes that another world lacks or holds differently become
+	// poisoned (present, runtime-valued).
+	for i := range g.mem {
+		gm := g.mem[i]
+		var bad uint8
 		for _, o := range others {
-			ob, ok := o.mem[k]
-			if !ok || ob != b {
-				g.mem[k] = memByte{known: false}
+			j := o.memFrom(gm.addr)
+			if j == len(o.mem) || o.mem[j].addr != gm.addr {
+				bad = gm.have
 				break
 			}
+			om := o.mem[j]
+			bad |= gm.have &^ om.have
+			bad |= (gm.known ^ om.known) & gm.have
+			for b := uint(0); b < 8; b++ {
+				if byte(gm.val>>(8*b)) != byte(om.val>>(8*b)) {
+					bad |= 1 << b & gm.have
+				}
+			}
+		}
+		if bad&gm.known != 0 {
+			g.ownMem()
+			g.mem[i].known &^= bad
+			g.mem[i].val &^= byteMask(bad)
 		}
 	}
 	return g

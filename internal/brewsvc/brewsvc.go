@@ -329,6 +329,11 @@ type Service struct {
 	shards []*shard
 	cache  *cache // global: cache keys and service shards partition independently
 	wg     sync.WaitGroup
+
+	// afterProbe, set only by tests, runs on Submit's miss path between
+	// the unlocked cache probe and the shard lock: the window in which a
+	// flight for the same key can publish and retire.
+	afterProbe func()
 }
 
 // shard is one independent slice of the service: its own admission lock,
@@ -535,6 +540,9 @@ func (s *Service) Submit(req *Request) *Ticket {
 		}
 	}
 
+	if s.afterProbe != nil {
+		s.afterProbe()
+	}
 	sh.mu.Lock()
 	t := sh.admitLocked(req, k, ek, cacheable, tid, subStart)
 	sh.mu.Unlock()
@@ -559,6 +567,16 @@ func (sh *shard) admitLocked(req *Request, k cacheKey, ek entryKey, cacheable bo
 			sh.st.coalesced.Add(1)
 			mCoalesceHits.Inc()
 			return t
+		}
+		// The caller probed the cache before taking this lock. A flight
+		// that published and retired in between is in neither place it
+		// looked: a flight publishes before it leaves the inflight table,
+		// and leaves it under this lock, so with no flight in the table a
+		// second look at the cache settles whether k was ever traced.
+		if cv, ok := s.cache.get(k); ok && cv.v.Live() {
+			sh.st.cacheHits.Add(1)
+			mCacheHits.Inc()
+			return doneTicket(Outcome{Entry: cv.e, Addr: cv.e.Addr(), Variant: cv.v, CacheHit: true})
 		}
 		sh.st.cacheMisses.Add(1)
 		mCacheMisses.Inc()

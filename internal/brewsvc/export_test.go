@@ -7,3 +7,8 @@ package brewsvc
 func (s *Service) ShardIndexOf(req *Request) int {
 	return s.shardOf(entryKeyOf(req)).id
 }
+
+// SetAfterProbe installs f to run on Submit's miss path between the
+// unlocked cache probe and the shard lock (nil removes it). Install it
+// before the service is shared between goroutines.
+func (s *Service) SetAfterProbe(f func()) { s.afterProbe = f }

@@ -506,3 +506,42 @@ func TestUncacheableIsolation(t *testing.T) {
 		t.Fatalf("stats = %+v, want %d isolated traces", st, n)
 	}
 }
+
+// TestSubmitRecheckClosesProbeWindow drives the one interleaving in which
+// the unlocked cache probe and the singleflight table both miss a request
+// that has in fact been traced: a flight for the same key publishes and
+// retires after the late submitter's probe and before it takes the shard
+// lock. The hook makes the window deterministic — the late submitter's own
+// Submit, paused in the window, runs the whole first request to completion.
+// Exactly one trace may happen; the late submitter must be served from the
+// cache the first one filled.
+func TestSubmitRecheckClosesProbeWindow(t *testing.T) {
+	m, w := newStencil(t)
+	svc := brewsvc.Open(m, brewsvc.WithWorkers(1))
+	defer svc.Close()
+
+	cfg, args := applyVariant(w, 0)
+	req := func() *brewsvc.Request { return &brewsvc.Request{Config: cfg, Fn: w.Apply, Args: args} }
+
+	var first brewsvc.Outcome
+	inWindow := false
+	svc.SetAfterProbe(func() {
+		if inWindow {
+			return // the nested Submit below passes through
+		}
+		inWindow = true
+		first = svc.Submit(req()).Outcome()
+	})
+	late := svc.Submit(req()).Outcome()
+	svc.SetAfterProbe(nil)
+
+	if first.Degraded || late.Degraded {
+		t.Fatalf("degraded: first %v, late %v", first.Err, late.Err)
+	}
+	if st := svc.Stats(); st.Traces != 1 {
+		t.Fatalf("traces = %d, want 1: the late submitter traced a key that was already cached", st.Traces)
+	}
+	if !late.CacheHit || late.Addr != first.Addr {
+		t.Fatalf("late submitter: cache hit %v, addr %#x; first addr %#x", late.CacheHit, late.Addr, first.Addr)
+	}
+}

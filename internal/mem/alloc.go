@@ -20,6 +20,7 @@ type Allocator struct {
 	free       []span            // sorted by addr, coalesced
 	live       map[uint64]uint64 // addr -> size
 	align      uint64
+	seg        *Segment // committed for every allocation; nil: unbound
 }
 
 type span struct{ addr, size uint64 }
@@ -37,6 +38,15 @@ func NewAllocator(base, size, align uint64) *Allocator {
 		live:  make(map[uint64]uint64),
 		align: align,
 	}
+}
+
+// NewSegmentAllocator manages the whole of s and commits, in s, whatever it
+// hands out: an allocated object lies inside the segment's window whether or
+// not it has been written yet.
+func NewSegmentAllocator(s *Segment, align uint64) *Allocator {
+	a := NewAllocator(s.Base, s.Size, align)
+	a.seg = s
+	return a
 }
 
 // Alloc reserves n bytes and returns their address.
@@ -67,6 +77,9 @@ func (a *Allocator) Alloc(n uint64) (uint64, error) {
 			a.free[i+1] = rest
 		}
 		a.live[start] = n
+		if a.seg != nil {
+			a.seg.commit(start, start+n)
+		}
 		return start, nil
 	}
 	return 0, fmt.Errorf("%w: need %d bytes", ErrNoSpace, n)

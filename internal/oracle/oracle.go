@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/brew"
 	"repro/internal/isa"
@@ -135,12 +136,20 @@ type dspan struct {
 }
 
 // machState is one machine plus the bookkeeping to roll it back to its
-// post-rewrite state between trials. Rolling back only the bytes the last
-// run stored to keeps trials cheap on the ~80 MB simulated address space.
+// post-rewrite state between trials. The snapshot copies what the machine
+// had committed, and a rollback only the bytes the last run stored to, so
+// a trial costs what the guest touched, not the ~80 MB it has mapped.
 type machState struct {
 	inst  *Instance
-	snap  map[*mem.Segment][]byte // full copy of writable segments
+	snap  map[*mem.Segment]window // the writable segments' committed bytes
 	dirty []dspan                 // spans stored to since the last rollback
+}
+
+// window is a copy of a segment's committed bytes [lo, lo+len(data)); every
+// byte of the segment outside it was zero when the copy was taken.
+type window struct {
+	lo   uint64
+	data []byte
 }
 
 // harness pairs the two instances with their post-rewrite snapshots.
@@ -148,7 +157,7 @@ type harness struct {
 	c          Case
 	orig, rewr *machState
 	rewrAddr   uint64
-	listing    string
+	result     *brew.Result // the rewrite under test, for its listing
 	stepLimit  int64
 	degraded   bool
 	degradeErr error
@@ -267,7 +276,7 @@ func newHarness(c Case) (*harness, error) {
 			orig:     &machState{inst: orig, snap: snapshot(orig.M)},
 			rewr:     &machState{inst: rewr, snap: snapshot(rewr.M)},
 			rewrAddr: e.Addr(),
-			listing:  e.Result().Listing(),
+			result:   e.Result(),
 		}
 		h.stepLimit = c.StepLimit
 		if h.stepLimit <= 0 {
@@ -291,7 +300,7 @@ func newHarness(c Case) (*harness, error) {
 		orig:     &machState{inst: orig, snap: snapshot(orig.M)},
 		rewr:     &machState{inst: rewr, snap: snapshot(rewr.M)},
 		rewrAddr: res.Addr,
-		listing:  res.Listing(),
+		result:   res,
 		degraded: res.Degraded,
 	}
 	if res.Degraded {
@@ -304,22 +313,21 @@ func newHarness(c Case) (*harness, error) {
 	return h, nil
 }
 
-// snapshot copies every writable segment's content.
-func snapshot(m *vm.Machine) map[*mem.Segment][]byte {
-	out := make(map[*mem.Segment][]byte)
+// snapshot copies every writable segment's committed window.
+func snapshot(m *vm.Machine) map[*mem.Segment]window {
+	out := make(map[*mem.Segment]window)
 	for _, s := range m.Mem.Segments() {
-		if s.Perm&mem.PermWrite == 0 {
-			continue
+		if s.Perm&mem.PermWrite != 0 {
+			out[s] = window{s.Lo, bytes.Clone(s.Data)}
 		}
-		cp := make([]byte, len(s.Data))
-		copy(cp, s.Data)
-		out[s] = cp
 	}
 	return out
 }
 
-// rollback undoes every store of the previous run by copying the dirtied
-// spans back from the snapshot.
+// rollback undoes every store of the previous run: the dirtied bytes the
+// snapshot holds are copied back, the ones it does not — committed since —
+// were zero and are zeroed. (A store commits what it writes and windows
+// only grow, so every dirtied byte lies inside today's window.)
 func (ms *machState) rollback() {
 	m := ms.inst.M.Mem
 	for _, d := range ms.dirty {
@@ -331,12 +339,15 @@ func (ms *machState) rollback() {
 		if !ok {
 			continue
 		}
-		off := d.addr - s.Base
-		end := off + uint64(d.size)
-		if end > uint64(len(s.Data)) {
-			end = uint64(len(s.Data))
+		lo, hi := max(d.addr, s.Lo), min(d.addr+uint64(d.size), s.Lo+uint64(len(s.Data)))
+		if lo >= hi {
+			continue
 		}
-		copy(s.Data[off:end], ref[off:end])
+		dst := s.Data[lo-s.Lo : hi-s.Lo]
+		clear(dst)
+		if from, to := max(lo, ref.lo), min(hi, ref.lo+uint64(len(ref.data))); from < to {
+			copy(dst[from-lo:], ref.data[from-ref.lo:to-ref.lo])
+		}
 	}
 	ms.dirty = ms.dirty[:0]
 }
@@ -480,7 +491,8 @@ func journalContext(a, b []StoreRec, at int) string {
 
 // compareMemory diffs final memory of all writable regions, excluding the
 // stack (private frames differ by design) and the JIT segment (it holds
-// the rewritten code itself on one side).
+// the rewritten code itself on one side). The two machines need not have
+// committed the same windows: a byte outside one reads as zero.
 func (h *harness) compareMemory() *Divergence {
 	segsO := h.orig.inst.M.Mem.Segments()
 	segsR := h.rewr.inst.M.Mem.Segments()
@@ -488,22 +500,56 @@ func (h *harness) compareMemory() *Divergence {
 		if so.Perm&mem.PermWrite == 0 || so.Name == "stack" || so.Name == "jit" {
 			continue
 		}
-		sr := segsR[i]
-		if bytes.Equal(so.Data, sr.Data) {
+		addr, differ := firstDifference(so, segsR[i])
+		if !differ {
 			continue
 		}
-		for off := range so.Data {
-			if so.Data[off] != sr.Data[off] {
-				addr := so.Base + uint64(off)
-				vo, _ := h.orig.inst.M.Mem.Read64(addr &^ 7)
-				vr, _ := h.rewr.inst.M.Mem.Read64(addr &^ 7)
-				return &Divergence{Kind: "memory",
-					Detail: fmt.Sprintf("final memory differs in %q at 0x%x: original word 0x%x, rewritten 0x%x",
-						so.Name, addr, vo, vr)}
+		vo, _ := h.orig.inst.M.Mem.Read64(addr &^ 7)
+		vr, _ := h.rewr.inst.M.Mem.Read64(addr &^ 7)
+		return &Divergence{Kind: "memory",
+			Detail: fmt.Sprintf("final memory differs in %q at 0x%x: original word 0x%x, rewritten 0x%x",
+				so.Name, addr, vo, vr)}
+	}
+	return nil
+}
+
+// firstDifference returns the lowest address at which two segments mapped
+// at the same place hold different bytes.
+func firstDifference(a, b *mem.Segment) (addr uint64, differ bool) {
+	if a.Lo == b.Lo && bytes.Equal(a.Data, b.Data) {
+		return 0, false
+	}
+	// committed returns s's bytes in [lo, hi), a range that lies either
+	// wholly inside or wholly outside s's window; nil outside.
+	committed := func(s *mem.Segment, lo, hi uint64) []byte {
+		if lo < s.Lo || hi > s.Lo+uint64(len(s.Data)) {
+			return nil
+		}
+		return s.Data[lo-s.Lo : hi-s.Lo]
+	}
+	// Between two neighbouring window edges each side is one or the other.
+	edges := []uint64{a.Lo, a.Lo + uint64(len(a.Data)), b.Lo, b.Lo + uint64(len(b.Data))}
+	slices.Sort(edges)
+	for i := 0; i+1 < len(edges); i++ {
+		lo, hi := edges[i], edges[i+1]
+		xa, xb := committed(a, lo, hi), committed(b, lo, hi)
+		if xa != nil && xb != nil && bytes.Equal(xa, xb) {
+			continue
+		}
+		for off := uint64(0); off < hi-lo; off++ {
+			var ba, bb byte
+			if xa != nil {
+				ba = xa[off]
+			}
+			if xb != nil {
+				bb = xb[off]
+			}
+			if ba != bb {
+				return lo + off, true
 			}
 		}
 	}
-	return nil
+	return 0, false
 }
 
 // minimize shrinks the diverging argument vector: every parameter not
@@ -566,5 +612,5 @@ func (h *harness) decorate(d *Divergence) {
 	if b, err := h.orig.inst.M.Mem.ReadBytes(fn, window); err == nil {
 		d.OrigDisasm = isa.Disassemble(b, fn, true)
 	}
-	d.RewrListing = h.listing
+	d.RewrListing = h.result.Listing()
 }

@@ -118,7 +118,7 @@ func RunPersist(c Case, seed int64, st *spstore.Store) (*CaseResult, error) {
 		orig:     &machState{inst: orig, snap: snapshot(orig.M)},
 		rewr:     &machState{inst: restart, snap: snapshot(restart.M)},
 		rewrAddr: aout.Result.Addr,
-		listing:  out.Result.Listing(),
+		result:   out.Result,
 	}
 	h.stepLimit = c.StepLimit
 	if h.stepLimit <= 0 {

@@ -96,6 +96,12 @@ type Stats struct {
 // All methods are safe for concurrent use; the write path is atomic
 // (unique temp + fsync + rename) so concurrent writers — or a writer
 // dying mid-put — can never leave a half-record under a live key.
+//
+// A store that has settled neither creates nor deletes files: the manifest
+// is overwritten where it lies, and a record is written into a file the
+// bounded quarantine has retired (see retire), so a service that keeps
+// re-adopting and re-tracing costs the file system two fsyncs and two
+// renames per put whatever else has been created or deleted around it.
 type Store struct {
 	dir string
 	opt Options
@@ -103,6 +109,11 @@ type Store struct {
 	mu     sync.Mutex // manifest writes + put sequencing
 	putSeq uint64
 	gen    atomic.Uint64
+
+	qmu     sync.Mutex // the three below
+	qknown  bool       // quar lists the quarantine directory
+	quar    []string   // quarantined file names, oldest first
+	retired []string   // names pushed out of quar, for writeAtomic to reuse
 
 	st     counters
 	remote *remoteTier // nil when Options.Remote is nil
@@ -122,12 +133,23 @@ const (
 	tmpSuffix     = ".tmp"
 	manifestName  = "manifest.json"
 	quarantineDir = "quarantine"
+
+	// quarantineKeep is how many quarantined records the store holds on
+	// to, newest first; maxRetired how many retired ones may wait for a
+	// write before the oldest is deleted instead.
+	quarantineKeep = 128
+	maxRetired     = 8
 )
 
-// manifest is the store's advisory generation counter. It is written
-// atomically after every put; when it is missing or torn (a crash
-// between record rename and manifest rename), Open rebuilds it from a
-// directory scan — the records themselves are the source of truth.
+// tmpSeq makes temp names unique within the process; the pid makes them
+// unique across processes.
+var tmpSeq atomic.Uint64
+
+// manifest is the store's advisory generation counter. It is overwritten
+// in place and fsynced after every put; when it is missing or torn (a
+// crash between record rename and manifest write, or inside the write),
+// Open rebuilds it from a directory scan — the records themselves are the
+// source of truth.
 type manifest struct {
 	Generation uint64 `json:"generation"`
 }
@@ -285,12 +307,17 @@ func (s *Store) Put(rec *Record) error {
 	return nil
 }
 
-// writeAtomic writes data to path via a uniquely-named temp file in the
-// same directory, fsyncs it, and renames it into place.
+// writeAtomic writes data to a temp file in path's directory, fsyncs it,
+// and renames it into place. The temp file is a retired quarantine file
+// when there is one, and a new one otherwise.
 func (s *Store) writeAtomic(path string, data []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*"+tmpSuffix)
-	if err != nil {
-		return fmt.Errorf("spstore: %w", err)
+	tmp := s.reuse(path, len(data))
+	if tmp == nil {
+		var err error
+		tmp, err = os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*"+tmpSuffix)
+		if err != nil {
+			return fmt.Errorf("spstore: %w", err)
+		}
 	}
 	tmpName := tmp.Name()
 	defer os.Remove(tmpName) // no-op after a successful rename
@@ -311,12 +338,126 @@ func (s *Store) writeAtomic(path string, data []byte) error {
 	return nil
 }
 
+// reuse claims a retired quarantine file as the temp file for a write of
+// size bytes to path: renamed to a unique temp name beside path (so that
+// of two stores over one directory only one gets it, and a crash leaves a
+// stray that Open sweeps), cut or stretched to size — its blocks stay
+// where they are — and opened for writing. It returns nil when nothing is
+// retired or the claim fails; the caller then creates a file.
+func (s *Store) reuse(path string, size int) *os.File {
+	s.qmu.Lock()
+	n := len(s.retired)
+	if n == 0 {
+		s.qmu.Unlock()
+		return nil
+	}
+	name := s.retired[n-1]
+	s.retired = s.retired[:n-1]
+	s.qmu.Unlock()
+
+	tmpName := fmt.Sprintf("%s.%d-%d%s", path, os.Getpid(), tmpSeq.Add(1), tmpSuffix)
+	if err := os.Rename(filepath.Join(s.dir, quarantineDir, name), tmpName); err != nil {
+		return nil // gone (GC, another store): not an error
+	}
+	f, err := os.OpenFile(tmpName, os.O_WRONLY, 0o600)
+	if err == nil {
+		if err = f.Truncate(int64(size)); err == nil {
+			return f
+		}
+		f.Close()
+	}
+	os.Remove(tmpName)
+	return nil
+}
+
+// retire records that name has just entered the quarantine directory and
+// keeps the directory bounded: past quarantineKeep files the oldest are
+// handed to the write path to be overwritten — not deleted, so that a
+// store which quarantines and re-puts in a loop stops allocating and
+// freeing inodes altogether. Only when writes do not keep up (maxRetired
+// waiting) is a file removed.
+func (s *Store) retire(name string) {
+	s.qmu.Lock()
+	defer s.qmu.Unlock()
+	if s.qknown {
+		s.quar = append(s.quar, name)
+	} else {
+		s.quar = s.listQuarantine() // name is among them
+		s.qknown = true
+	}
+	for len(s.quar) > quarantineKeep {
+		s.retired = append(s.retired, s.quar[0])
+		s.quar = s.quar[1:]
+	}
+	for len(s.retired) > maxRetired {
+		_ = os.Remove(filepath.Join(s.dir, quarantineDir, s.retired[0]))
+		s.retired = s.retired[1:]
+	}
+}
+
+// listQuarantine returns the quarantine directory's file names, oldest
+// first: by the generation Quarantine put in the name, then by name.
+func (s *Store) listQuarantine() []string {
+	ents, err := os.ReadDir(filepath.Join(s.dir, quarantineDir))
+	if err != nil {
+		return nil
+	}
+	type aged struct {
+		name string
+		gen  uint64
+	}
+	var all []aged
+	for _, e := range ents {
+		if e.IsDir() {
+			continue
+		}
+		a := aged{name: e.Name()}
+		if i := strings.LastIndex(a.name, ".g"); i >= 0 {
+			fmt.Sscanf(a.name[i:], ".g%d", &a.gen)
+		}
+		all = append(all, a)
+	}
+	sort.Slice(all, func(i, j int) bool {
+		if all[i].gen != all[j].gen {
+			return all[i].gen < all[j].gen
+		}
+		return all[i].name < all[j].name
+	})
+	names := make([]string, len(all))
+	for i, a := range all {
+		names[i] = a.name
+	}
+	return names
+}
+
 func (s *Store) bumpGeneration() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	g := s.gen.Add(1)
 	b, _ := json.Marshal(manifest{Generation: g})
-	_ = s.writeAtomic(filepath.Join(s.dir, manifestName), b)
+	_ = s.writeManifest(b)
+}
+
+// writeManifest overwrites the manifest where it lies and fsyncs it. No
+// temp file and no rename: the manifest is advisory and a torn one is
+// rebuilt by Open, so it does not need a fresh inode per put.
+func (s *Store) writeManifest(b []byte) error {
+	f, err := os.OpenFile(filepath.Join(s.dir, manifestName), os.O_WRONLY|os.O_CREATE, 0o644)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	if _, err := f.WriteAt(b, 0); err != nil {
+		return err
+	}
+	// The generation only grows, so the text only lengthens — except after
+	// a rebuild, which may restart lower over longer garbage.
+	if fi, err := f.Stat(); err == nil && fi.Size() != int64(len(b)) {
+		if err := f.Truncate(int64(len(b))); err != nil {
+			return err
+		}
+	}
+	return f.Sync()
 }
 
 // Get looks the key up: local tier first, then (on a local miss, when
@@ -367,14 +508,15 @@ func (s *Store) Get(k Key) (*Record, bool) {
 // Quarantine moves the key's record file into the quarantine directory
 // (suffixed with the current generation so repeat offenders under the
 // same key never collide) and emits the flight-recorder event. Missing
-// files are a no-op.
+// files are a no-op. The directory keeps the newest quarantineKeep files
+// (see retire).
 func (s *Store) Quarantine(k Key, reason string) {
 	src := s.pathFor(k)
-	dst := filepath.Join(s.dir, quarantineDir,
-		fmt.Sprintf("%s.g%d%s", k.String(), s.gen.Load(), recordExt))
-	if err := os.Rename(src, dst); err != nil {
+	name := fmt.Sprintf("%s.g%d%s", k.String(), s.gen.Load(), recordExt)
+	if err := os.Rename(src, filepath.Join(s.dir, quarantineDir, name)); err != nil {
 		return
 	}
+	s.retire(name)
 	s.st.quarantined.Add(1)
 	mQuarantined.Inc()
 	emitPersist(obs.Event{Kind: obs.KindPersist, Reason: "quarantine: " + reason})
@@ -489,7 +631,9 @@ func (s *Store) Fsck(quarantine bool) (*FsckReport, error) {
 				s.Quarantine(k, "fsck: "+derr.Error())
 			} else {
 				// Not even a valid key name: move it verbatim.
-				_ = os.Rename(path, filepath.Join(s.dir, quarantineDir, e.Name()))
+				if os.Rename(path, filepath.Join(s.dir, quarantineDir, e.Name())) == nil {
+					s.retire(e.Name())
+				}
 				s.st.quarantined.Add(1)
 				mQuarantined.Inc()
 			}
@@ -519,6 +663,9 @@ type GCReport struct {
 func (s *Store) GC(maxBytes int64) (*GCReport, error) {
 	rep := &GCReport{}
 	qdir := filepath.Join(s.dir, quarantineDir)
+	s.qmu.Lock()
+	s.qknown, s.quar, s.retired = false, nil, nil
+	s.qmu.Unlock()
 	if ents, err := os.ReadDir(qdir); err == nil {
 		for _, e := range ents {
 			if e.IsDir() {

@@ -65,7 +65,7 @@ func (m *Machine) fetch(pc uint64) (*isa.Instr, error) {
 	if i := pg.slot[po]; i != 0 {
 		return &pg.ins[i-1], nil
 	}
-	ins, err := isa.Decode(t.seg.Data[off:], pc)
+	ins, err := isa.Decode(t.seg.Fetch(pc), pc)
 	if err != nil {
 		return nil, err
 	}
@@ -86,7 +86,7 @@ func (m *Machine) fetch(pc uint64) (*isa.Instr, error) {
 // segment.
 func (m *Machine) textAt(pc uint64) *text {
 	for _, t := range m.texts {
-		if pc-t.seg.Base < uint64(len(t.seg.Data)) {
+		if t.seg.Contains(pc) {
 			return t
 		}
 	}
@@ -94,7 +94,7 @@ func (m *Machine) textAt(pc uint64) *text {
 	if s == nil || s.Perm&mem.PermExec == 0 {
 		return nil
 	}
-	t := &text{seg: s, pages: make([]*codePage, (len(s.Data)+pageSize-1)>>pageShift)}
+	t := &text{seg: s, pages: make([]*codePage, (s.Size+pageSize-1)>>pageShift)}
 	m.texts = append(m.texts, t)
 	return t
 }

@@ -2,6 +2,7 @@ package vm_test
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -189,14 +190,23 @@ func TestFullPageOfOrphansStartsOver(t *testing.T) {
 
 // TestAllocationCeilings pins what the collector has to look at: building
 // a machine is a few dozen objects (the segments themselves hold no
-// pointers), and a warm call with nothing armed allocates nothing.
+// pointers) of under 2 MB together — the cache model's tag arrays and the
+// one granule of code the HALT stub commits, where it used to be the 83 MB
+// the machine maps — and a warm call with nothing armed allocates nothing.
 func TestAllocationCeilings(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	if n := testing.AllocsPerRun(3, func() {
 		if _, err := vm.New(); err != nil {
 			t.Fatal(err)
 		}
 	}); n > 64 {
 		t.Errorf("vm.New makes %.0f allocations, want <= 64", n)
+	}
+	runtime.ReadMemStats(&after)
+	// AllocsPerRun(3, f) calls f four times.
+	if b := (after.TotalAlloc - before.TotalAlloc) / 4; b > 2<<20 {
+		t.Errorf("vm.New allocates %d bytes, want <= 2 MB", b)
 	}
 
 	m := vm.MustNew()

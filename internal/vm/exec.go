@@ -71,24 +71,27 @@ func (m *Machine) effAddr(mr *isa.MemRef) uint64 {
 	return a + uint64(int64(mr.Disp))
 }
 
-// segment returns the mapped segment holding addr, trying the one the
-// last access touched first.
+// segment returns the segment whose committed window holds addr, trying
+// the one the last access touched first; nil when addr is unmapped or
+// outside its segment's window, which m.Mem sorts out.
 func (m *Machine) segment(addr uint64) *mem.Segment {
-	if s := m.dseg; s != nil && addr-s.Base < uint64(len(s.Data)) {
+	if s := m.dseg; s != nil && addr-s.Lo < uint64(len(s.Data)) {
 		return s
 	}
 	s := m.Mem.Find(addr)
-	if s != nil {
-		m.dseg = s
+	if s == nil || addr-s.Lo >= uint64(len(s.Data)) {
+		return nil
 	}
+	m.dseg = s
 	return s
 }
 
 // load reads a guest integer of size 1 or 8. Anything but a permitted
-// access inside one segment goes to m.Mem, which reports the fault.
+// access inside one segment's window goes to m.Mem, which reads zeros
+// outside a window and reports the faults.
 func (m *Machine) load(addr uint64, size int) (uint64, error) {
 	if s := m.segment(addr); s != nil && s.Perm&mem.PermRead != 0 {
-		off := addr - s.Base
+		off := addr - s.Lo
 		if size == 1 {
 			return uint64(s.Data[off]), nil
 		}
@@ -105,17 +108,29 @@ func (m *Machine) load(addr uint64, size int) (uint64, error) {
 func (m *Machine) store(addr, v uint64, size int) error {
 	s := m.segment(addr)
 	if s == nil || s.Perm&mem.PermWrite == 0 {
-		return m.Mem.WriteN(addr, v, size)
+		return m.storeOutside(addr, v, size)
 	}
-	off := addr - s.Base
+	off := addr - s.Lo
 	if size == 1 {
 		s.Data[off] = byte(v)
 	} else if off+8 <= uint64(len(s.Data)) {
 		binary.LittleEndian.PutUint64(s.Data[off:], v)
 	} else {
-		return m.Mem.WriteN(addr, v, size)
+		return m.storeOutside(addr, v, size)
 	}
 	if s.Perm&mem.PermExec != 0 {
+		m.InvalidateCode(addr, addr+uint64(size))
+	}
+	return nil
+}
+
+// storeOutside is store for anything but a permitted access inside one
+// segment's window: m.Mem commits the bytes first, or reports the fault.
+func (m *Machine) storeOutside(addr, v uint64, size int) error {
+	if err := m.Mem.WriteN(addr, v, size); err != nil {
+		return err
+	}
+	if m.Mem.Find(addr).Perm&mem.PermExec != 0 {
 		m.InvalidateCode(addr, addr+uint64(size))
 	}
 	return nil

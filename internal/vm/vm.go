@@ -154,6 +154,8 @@ type Machine struct {
 
 	// dseg is the segment the last guest load or store touched.
 	dseg *mem.Segment
+	// jit is the JIT segment (see pinJIT).
+	jit *mem.Segment
 }
 
 // New builds a machine with the default layout and the default cache
@@ -165,7 +167,7 @@ func New() (*Machine, error) {
 		FuncCost: make(map[uint64]int),
 		page:     &noPage,
 	}
-	segs := []struct {
+	layout := [...]struct {
 		name string
 		base uint64
 		size uint64
@@ -177,15 +179,22 @@ func New() (*Machine, error) {
 		{"heap", HeapBase, HeapSize, mem.PermRW},
 		{"stack", StackTop - StackSize, StackSize, mem.PermRW},
 	}
-	for _, s := range segs {
-		if _, err := m.Mem.Map(s.name, s.base, s.size, s.perm); err != nil {
+	var segs [len(layout)]*mem.Segment
+	for i, s := range layout {
+		seg, err := m.Mem.Map(s.name, s.base, s.size, s.perm)
+		if err != nil {
 			return nil, err
 		}
+		segs[i] = seg
 	}
-	m.CodeAlloc = mem.NewAllocator(CodeBase, CodeSize, 16)
+	// An allocator bound to its segment commits whatever it hands out. JIT
+	// space is committed whole by its first install instead (pinJIT), and
+	// the stack commits downward from StackTop as the guest pushes.
+	m.CodeAlloc = mem.NewSegmentAllocator(segs[0], 16)
+	m.jit = segs[1]
 	m.JITAlloc = mem.NewAllocator(JITBase, JITSize, 16)
-	m.DataAlloc = mem.NewAllocator(DataBase, DataSize, 16)
-	m.HeapAlloc = mem.NewAllocator(HeapBase, HeapSize, 16)
+	m.DataAlloc = mem.NewSegmentAllocator(segs[2], 16)
+	m.HeapAlloc = mem.NewSegmentAllocator(segs[3], 16)
 
 	// Reserve a HALT stub used as the return address of top-level calls.
 	stub, err := m.CodeAlloc.Alloc(16)
@@ -239,7 +248,26 @@ func (m *Machine) LoadCode(code []byte) (uint64, error) {
 func (m *Machine) WriteJIT(addr uint64, code []byte) error {
 	m.jitMu.Lock()
 	defer m.jitMu.Unlock()
+	if err := m.pinJIT(); err != nil {
+		return err
+	}
 	return m.writeCode(addr, code)
+}
+
+// pinJIT commits the whole JIT segment, once, before the first byte of
+// rewriter output lands in it. JIT space is the one segment written while
+// other goroutines read it — an install runs beside the read-back of a body
+// installed a moment ago, or beside a trace through JIT-resident code — and
+// a window that grew under an install would move under those readers. Every
+// read of an installed body happens after the install that pinned the
+// segment released jitMu, and nothing moves afterwards. The caller holds
+// jitMu.
+func (m *Machine) pinJIT() error {
+	if uint64(len(m.jit.Data)) == m.jit.Size {
+		return nil
+	}
+	_, err := m.Mem.Slice(m.jit.Base, int(m.jit.Size), mem.PermWrite)
+	return err
 }
 
 // writeCode is WriteJIT with the JIT lock held.
@@ -258,6 +286,9 @@ func (m *Machine) writeCode(addr uint64, code []byte) error {
 func (m *Machine) InstallJIT(size int, gen func(addr uint64) ([]byte, error)) (uint64, error) {
 	m.jitMu.Lock()
 	defer m.jitMu.Unlock()
+	if err := m.pinJIT(); err != nil {
+		return 0, err
+	}
 	addr, err := m.JITAlloc.Alloc(uint64(size) + 1)
 	if err != nil {
 		return 0, err

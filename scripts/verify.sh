@@ -16,6 +16,26 @@ go vet ./...
 echo "== go test ./..."
 go test ./...
 
+# The rewriter's freeze net, run by name so that a filtered or cached
+# `go test` cannot skip it: image, listing, report and counters of every
+# corpus case at both efforts against testdata/freeze.golden, the same again
+# with every known-world hash forced to collide, and the two-base layout
+# check. Regenerating the golden must reproduce the committed file byte for
+# byte — a rewriter whose output moved fails here, not at review.
+echo "== brew freeze net (committed goldens, -update leaves no diff)"
+go test -count=1 -run 'TestFreezeNet$|TestFreezeNetUnderCollisions|TestLayoutTwoBases' ./internal/brew/
+GOLDEN=internal/brew/testdata/freeze.golden
+GOLDEN_KEPT="$(mktemp)"
+cp "$GOLDEN" "$GOLDEN_KEPT"
+go test -count=1 -run 'TestFreezeNet$' ./internal/brew/ -update
+if ! cmp -s "$GOLDEN" "$GOLDEN_KEPT"; then
+    cp "$GOLDEN_KEPT" "$GOLDEN"
+    rm -f "$GOLDEN_KEPT"
+    echo "verify: FAIL — the rewriter no longer produces $GOLDEN" >&2
+    exit 1
+fi
+rm -f "$GOLDEN_KEPT"
+
 # The benchmark is a module of its own (bench/go.mod), so the line above
 # does not descend into it.
 echo "== go -C bench test ./..."
@@ -24,14 +44,17 @@ go -C bench test ./...
 if [ "${RACE:-1}" = 1 ]; then
     # The emulator's decoded-code tables change under the JIT lock while
     # installs and stub patches run concurrently; mem and cache ride along
-    # (small, and everything above them leans on them).
+    # (small, and everything above them leans on them — mem's suite has the
+    # eight readers probing inside and outside the committed windows).
     echo "== go test -race (short budget: vm, mem, cache)"
     go test -race -short ./internal/vm/ ./internal/mem/ ./internal/cache/
     # Short-budget race pass over the packages with real concurrency:
-    # RewriteBatch workers, the experiment driver, and the lock-free
-    # telemetry registry (full package: it is small and heavily atomic).
+    # RewriteBatch workers, eight concurrent Do on one machine
+    # (TestConcurrentDo), the experiment driver, the oracle's window
+    # bookkeeping, and the lock-free telemetry registry (full package: it is
+    # small and heavily atomic).
     echo "== go test -race (short budget: brew, oracle, telemetry)"
-    go test -race -short -run 'TestRewriteBatch|TestGenerated|TestOracle' \
+    go test -race -short -run 'TestRewriteBatch|TestConcurrentDo|TestGenerated|TestOracle|TestCompareMemory|TestRollback' \
         ./internal/brew/ ./internal/oracle/
     go test -race ./internal/telemetry/
     # The specialization manager and fault injector are concurrency-bearing
@@ -42,7 +65,8 @@ if [ "${RACE:-1}" = 1 ]; then
     go test -race -short ./internal/specmgr/ ./internal/faultinject/
     # The specialization service is concurrency-first (worker pool,
     # singleflight coalescing, sharded cache): full suite under -race,
-    # including the 64-goroutine exactly-one-trace test, service chaos,
+    # including the 64-goroutine exactly-one-trace test, the probe-window
+    # re-check behind it (TestSubmitRecheckClosesProbeWindow), service chaos,
     # and the tier-promotion suite (hot-swap torn-address readers,
     # per-effort coalescing keys, quick-vs-full cache isolation).
     echo "== go test -race (short budget: brewsvc)"
