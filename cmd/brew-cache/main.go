@@ -4,7 +4,7 @@
 // garbage-collect the quarantine plus the oldest live records down to a
 // byte budget.
 //
-//	brew-cache -store DIR ls            # live + quarantined records
+//	brew-cache -store DIR ls            # live + quarantined records, and why quarantined
 //	brew-cache -store DIR fsck          # verify; exit 1 if anything is corrupt
 //	brew-cache -store DIR fsck -repair  # verify and quarantine what fails
 //	brew-cache -store DIR gc -max 64M   # drop quarantine, evict LRU over budget
@@ -18,6 +18,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -25,30 +26,48 @@ import (
 	"repro/internal/spstore"
 )
 
-func main() {
-	var (
-		dir    = flag.String("store", "", "store directory (required)")
-		asJSON = flag.Bool("json", false, "machine-readable output")
-		repair = flag.Bool("repair", false, "fsck: quarantine records that fail verification")
-		max    = flag.String("max", "", "gc: live-tier byte budget (supports K/M/G suffixes; empty = quarantine sweep only)")
-	)
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	cmd := flag.Arg(0)
+// run is the whole tool: arguments in, listing on stdout, exit status out.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("brew-cache", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		dir    = fs.String("store", "", "store directory (required)")
+		asJSON = fs.Bool("json", false, "machine-readable output")
+		repair = fs.Bool("repair", false, "fsck: quarantine records that fail verification")
+		max    = fs.String("max", "", "gc: live-tier byte budget (supports K/M/G suffixes; empty = quarantine sweep only)")
+	)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	cmd := fs.Arg(0)
 	if cmd != "" {
 		// Allow flags after the subcommand too (brew-cache -store DIR gc -max 64M).
-		if err := flag.CommandLine.Parse(flag.Args()[1:]); err != nil {
-			os.Exit(2)
+		if err := fs.Parse(fs.Args()[1:]); err != nil {
+			return 2
 		}
 	}
 	if *dir == "" || cmd == "" {
-		fmt.Fprintln(os.Stderr, "usage: brew-cache -store DIR [-json] ls|fsck|gc")
-		flag.Usage()
-		os.Exit(2)
+		fmt.Fprintln(stderr, "usage: brew-cache -store DIR [-json] ls|fsck|gc")
+		fs.Usage()
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "brew-cache:", err)
+		return 1
+	}
+	printJSON := func(v any) int {
+		b, err := json.MarshalIndent(v, "", "  ")
+		if err != nil {
+			return fail(err)
+		}
+		fmt.Fprintln(stdout, string(b))
+		return 0
 	}
 	st, err := spstore.Open(spstore.Options{Dir: *dir})
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	defer st.Close()
 
@@ -56,69 +75,66 @@ func main() {
 	case "ls":
 		infos, err := st.List()
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		if *asJSON {
-			printJSON(infos)
-			return
+			return printJSON(infos)
 		}
+		why := map[string]uint64{} // quarantined records by reason
 		for _, in := range infos {
-			state := "live"
 			if in.Quarantined {
-				state = "quar"
+				reason := in.Reason
+				if reason == "" {
+					reason = "unknown"
+				}
+				why[reason]++
+				fmt.Fprintf(stdout, "quar %s  %7dB  reason=%s\n", in.Key, in.Size, reason)
+				continue
 			}
-			fmt.Printf("%-4s %s  %7dB  fn=%#x effort=%s code=%dB guards=%d gen=%d\n",
-				state, in.Key, in.Size, in.Fn, in.Effort, in.CodeSize, in.Guards, in.Generation)
+			fmt.Fprintf(stdout, "live %s  %7dB  fn=%#x effort=%s code=%dB guards=%d gen=%d\n",
+				in.Key, in.Size, in.Fn, in.Effort, in.CodeSize, in.Guards, in.Generation)
 		}
-		fmt.Printf("%d records, generation %d\n", len(infos), st.Generation())
+		if len(why) > 0 {
+			fmt.Fprintf(stdout, "quarantined by reason: %s\n", spstore.TallyText(why))
+		}
+		fmt.Fprintf(stdout, "%d records, generation %d\n", len(infos), st.Generation())
 	case "fsck":
 		rep, err := st.Fsck(*repair)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		if *asJSON {
-			printJSON(rep)
+			if rc := printJSON(rep); rc != 0 {
+				return rc
+			}
 		} else {
 			for _, bad := range rep.Bad {
-				fmt.Printf("corrupt %s: %s\n", bad.Key, bad.Err)
+				fmt.Fprintf(stdout, "corrupt %s: %s\n", bad.Key, bad.Err)
 			}
-			fmt.Printf("checked %d, corrupt %d, quarantined now %d, in quarantine %d\n",
+			fmt.Fprintf(stdout, "checked %d, corrupt %d, quarantined now %d, in quarantine %d\n",
 				rep.Checked, rep.Corrupt, rep.Quarantined, rep.InQuarantine)
 		}
 		if rep.Corrupt > 0 {
-			os.Exit(1)
+			return 1
 		}
 	case "gc":
 		budget, err := parseBytes(*max)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		rep, err := st.GC(budget)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		if *asJSON {
-			printJSON(rep)
-		} else {
-			fmt.Printf("dropped %d quarantined + %d live (LRU), freed %dB, %dB live\n",
-				rep.QuarantineDropped, rep.LRUDropped, rep.BytesFreed, rep.BytesLive)
+			return printJSON(rep)
 		}
+		fmt.Fprintf(stdout, "dropped %d quarantined + %d live (LRU), freed %dB, %dB live\n",
+			rep.QuarantineDropped, rep.LRUDropped, rep.BytesFreed, rep.BytesLive)
 	default:
-		fatal(fmt.Errorf("unknown command %q (want ls, fsck or gc)", cmd))
+		return fail(fmt.Errorf("unknown command %q (want ls, fsck or gc)", cmd))
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "brew-cache:", err)
-	os.Exit(1)
-}
-
-func printJSON(v any) {
-	b, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Println(string(b))
+	return 0
 }
 
 // parseBytes parses "67108864", "64M", "1G", "512K" (binary multiples).

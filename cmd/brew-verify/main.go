@@ -15,12 +15,14 @@
 //
 // With -persist, every case additionally runs through the persist/reload
 // oracle (oracle.RunPersist): the fresh rewrite is captured into a
-// persistent store (internal/spstore), a third identically built machine
-// — the simulated restart — adopts it back through full revalidation, and
-// the adopted body must be byte-for-byte identical to the fresh rewrite
-// AND behaviorally identical to the original. -store keeps the store
-// directory for later inspection (brew-cache); the default is a
-// throwaway temp dir.
+// persistent store (internal/spstore) and adopted back, through full
+// revalidation, by two simulated restarts — one whose JIT allocator offers
+// the recorded address, one with a decoy parked first so that the store has
+// to move the body. Each adopted body must be byte-for-byte identical to a
+// fresh rewrite at the address it landed on, and the moved one behaviorally
+// identical to the original. The run prints how many adoptions moved and
+// fails unless every persisted body did. -store keeps the store directory
+// for later inspection (brew-cache); the default is a throwaway temp dir.
 //
 //	brew-verify -seeds 200            # 200 random generated programs + stencil kernels
 //	brew-verify -seeds 50 -stencil=false -trials 10
@@ -56,7 +58,7 @@ func main() {
 		seeds   = flag.Int("seeds", 200, "number of random generated-program cases")
 		start   = flag.Int64("start", 0, "first generator seed")
 		trials  = flag.Int("trials", 0, "argument vectors per case (0 = oracle default)")
-		stencil = flag.Bool("stencil", true, "also verify the paper's stencil kernels (E1c, E2b, E3b)")
+		stencil = flag.Bool("stencil", true, "also verify the paper's stencil kernels (E1c, E2b, E3b) and the kept-call guests")
 		xs      = flag.Int("xs", 16, "stencil grid width")
 		ys      = flag.Int("ys", 12, "stencil grid height")
 		faults  = flag.Int("faults", 0, "fault-injected degrade-mode cases (0 disables)")
@@ -92,7 +94,9 @@ func main() {
 
 	// runPersist mirrors a case through the persist/reload oracle when
 	// -persist is set; mustRewrite marks cases whose refusal is a
-	// regression rather than a skip.
+	// regression rather than a skip. persisted counts the cases that had a
+	// body to persist, moved those whose adoption left the recorded address.
+	var persisted, moved int
 	runPersist := func(c oracle.Case, seed int64, mustRewrite bool) {
 		if st == nil {
 			return
@@ -103,6 +107,12 @@ func main() {
 		}
 		if mustRewrite && res.RewriteErr != nil {
 			fail("%s: rewrite refused: %v", c.Name, res.RewriteErr)
+		}
+		if res.RewriteErr == nil {
+			persisted++
+		}
+		if res.Moved {
+			moved++
 		}
 		rep.Add(res)
 		if res.Divergence != nil && !*quiet {
@@ -140,11 +150,20 @@ func main() {
 	}
 
 	if *stencil {
+		// Beside the paper's kernels, the guests that keep a call in their
+		// rewrite (the kernels and the generator inline everything): the
+		// plain mode checks the kept call, and the persist mode moves a body
+		// that has a reference to re-aim.
+		kept, err := oracle.KeptCallCases()
+		if err != nil {
+			fail("kept-call cases: %v", err)
+		}
 		for _, e := range efforts {
 			cases, err := oracle.StencilCases(*xs, *ys)
 			if err != nil {
 				fail("stencil: %v", err)
 			}
+			cases = append(cases, kept...)
 			for i, c := range cases {
 				c.Name += e.suffix
 				c.Trials = *trials
@@ -230,5 +249,11 @@ func main() {
 	fmt.Println(rep.Summary())
 	if !rep.OK() {
 		os.Exit(1)
+	}
+	if st != nil {
+		fmt.Printf("persist: %d of %d adoptions moved off the recorded address\n", moved, persisted)
+		if moved == 0 || moved != persisted {
+			os.Exit(1)
+		}
 	}
 }

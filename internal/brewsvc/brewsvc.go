@@ -788,9 +788,10 @@ func (sh *shard) worker() {
 		// Warm start: before paying a trace, a cacheable flight consults
 		// the persistent store. Adoption never happens blindly — the
 		// record is fully revalidated against the live machine (checksum,
-		// original code, frozen-region digests, guard set, placement; see
-		// spstore.Adopt) and any failure quarantines it and falls through
-		// to a fresh trace.
+		// original code, frozen-region digests, guard set, then placed
+		// where the JIT buffer has room and re-aimed; see spstore.Adopt). A
+		// failed check quarantines it, a machine with no place for it
+		// leaves it; both fall through to a fresh trace.
 		var out *brew.Outcome
 		var rerr error
 		warm := false

@@ -14,9 +14,10 @@ import (
 
 // warmAdopt tries to serve f from the persistent store. It returns a
 // fully revalidated, freshly installed outcome — indistinguishable from
-// a brew.Do result — or nil (clean miss, or a revalidation failure that
-// quarantined the record; either way the caller traces fresh). The
-// store's counters and flight-recorder events account for both paths.
+// a brew.Do result — or nil (clean miss, a revalidation failure that
+// quarantined the record, or a placement miss that left it; in every case
+// the caller traces fresh). The store's counters and flight-recorder
+// events account for each path, by step.
 func (s *Service) warmAdopt(f *flight) *brew.Outcome {
 	out, _, err := s.cfg.store.Adopt(s.m, f.req.Config, f.req.Fn, f.req.Args, f.req.FArgs, f.req.Guards)
 	if err != nil || out == nil {

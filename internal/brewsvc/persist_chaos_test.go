@@ -2,6 +2,7 @@ package brewsvc_test
 
 import (
 	"math"
+	"os"
 	"testing"
 	"time"
 
@@ -26,13 +27,17 @@ import (
 //     hit in a round whose writes were all corrupted);
 //   - zero leaked JIT bytes: after Close the code buffer returns to the
 //     round's baseline even when adoptions were refused mid-install;
+//   - persistence is what is being tested: rounds read what earlier rounds
+//     wrote (a floor on adoptions over the run), and a share of those
+//     adoptions lands at an address other than the one recorded;
 //   - convergence: two clean rounds at the end serve everything from the
 //     store (first one re-traces whatever the chaos rounds left corrupt,
 //     the second runs 100% warm).
 //
-// Requests run sequentially on one worker: warm adoption reproduces the
-// recorded JIT addresses only when the allocation order is reproducible,
-// which is exactly the restart scenario being modeled.
+// Requests run sequentially on one worker, and every boot starts with a
+// different kernel: a restart does not replay the order its predecessor
+// filled the JIT buffer in, so a record is routinely adopted somewhere
+// else than where it was captured.
 func TestPersistChaosStoreFaultsNeverWrong(t *testing.T) {
 	dumpRecorderOnFailure(t)
 	dir := t.TempDir()
@@ -46,6 +51,7 @@ func TestPersistChaosStoreFaultsNeverWrong(t *testing.T) {
 	// round boots a fresh, identically built machine+service against the
 	// shared store directory, runs the three kernels, checks every
 	// checksum, closes, and checks the JIT accounting.
+	var adopted, relocated uint64 // over all rounds
 	round := func(seed int64, inj *faultinject.Injector) (warm, traces uint64) {
 		m, w := newStencil(t)
 		baseline := m.JITFreeBytes()
@@ -66,23 +72,24 @@ func TestPersistChaosStoreFaultsNeverWrong(t *testing.T) {
 			t.Fatalf("seed %d: open store: %v", seed, err)
 		}
 		if inj != nil {
-			// Churn: evict roughly half the live tier (oldest first),
-			// modeling GC pressure between restarts. Without it the store
-			// converges to all-warm after a few rounds and the write-path
-			// fault points are never consulted again.
+			// Churn: evict the oldest live record, modeling GC pressure
+			// between restarts. Without it the store converges to all-warm
+			// after a few rounds and the write-path fault points are never
+			// consulted again; a byte budget would not do, the sweep's
+			// record alone is most of the bytes and half of them is nothing.
 			infos, err := st.List()
 			if err != nil {
 				t.Fatalf("seed %d: list: %v", seed, err)
 			}
-			var live int64
-			for _, in := range infos {
-				if !in.Quarantined {
-					live += in.Size
+			var oldest *spstore.Info
+			for i := range infos {
+				if in := &infos[i]; !in.Quarantined && (oldest == nil || in.ModTime.Before(oldest.ModTime)) {
+					oldest = in
 				}
 			}
-			if live > 0 {
-				if _, err := st.GC(live / 2); err != nil {
-					t.Fatalf("seed %d: gc: %v", seed, err)
+			if oldest != nil {
+				if err := os.Remove(oldest.File); err != nil {
+					t.Fatalf("seed %d: evict: %v", seed, err)
 				}
 			}
 		}
@@ -110,7 +117,8 @@ func TestPersistChaosStoreFaultsNeverWrong(t *testing.T) {
 		}
 
 		want := w.Golden(iters)
-		for _, k := range kernels {
+		first := int(uint64(seed) % uint64(len(kernels)))
+		for _, k := range append(kernels[first:len(kernels):len(kernels)], kernels[:first]...) {
 			out := svc.Do(k.req)
 			if out.Degraded {
 				t.Fatalf("seed %d: %s degraded: %s (%v) — store faults must never degrade a request",
@@ -146,6 +154,8 @@ func TestPersistChaosStoreFaultsNeverWrong(t *testing.T) {
 		if sst.WarmHits != stats.WarmHits {
 			t.Fatalf("seed %d: store warm hits %d != service warm hits %d", seed, sst.WarmHits, stats.WarmHits)
 		}
+		adopted += sst.WarmHits
+		relocated += sst.Relocated
 		return stats.WarmHits, stats.Traces
 	}
 
@@ -177,5 +187,14 @@ func TestPersistChaosStoreFaultsNeverWrong(t *testing.T) {
 	if traces != 0 || warm != 3 {
 		t.Fatalf("no convergence: final clean round ran %d warm / %d traces, want 3/0", warm, traces)
 	}
-	t.Logf("persist chaos: %d rounds, %d injected store faults, converged", rounds, fired)
+	// Every chaos round keeps two of its predecessor's three records; even
+	// with the armed write faults spoiling some, well over one adoption in
+	// two rounds must go through, and with the rotating order some of them
+	// away from the recorded address.
+	if adopted < uint64(rounds)/2 || relocated == 0 {
+		t.Fatalf("%d rounds adopted %d records, %d of them moved: the rounds are not reading what earlier rounds wrote",
+			rounds, adopted, relocated)
+	}
+	t.Logf("persist chaos: %d rounds, %d injected store faults, %d adoptions (%d moved), converged",
+		rounds, fired, adopted, relocated)
 }

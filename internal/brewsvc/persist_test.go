@@ -2,8 +2,10 @@ package brewsvc_test
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -70,6 +72,75 @@ func TestWarmStartAcrossRestart(t *testing.T) {
 	warmAddr, warmSum := boot(true)
 	if warmAddr != coldAddr || warmSum != coldSum {
 		t.Fatalf("warm boot served %#x/%g, cold boot %#x/%g", warmAddr, warmSum, coldAddr, coldSum)
+	}
+}
+
+// TestWarmStartInAnotherOrder: a restart is not a replay. The second boot
+// asks for the same three kernels in the opposite order, so its JIT
+// allocator offers none of them the address it was captured at — and it
+// still traces nothing: every record is adopted where there is room, runs
+// to the golden checksum, and Inspect reports the moves and no refusal.
+func TestWarmStartInAnotherOrder(t *testing.T) {
+	dir := t.TempDir()
+	const iters = 3
+
+	boot := func(reverse bool) (addrs [3]uint64, svcStats brewsvc.Stats, text string, moved uint64) {
+		m, w := newStencil(t)
+		st := openStoreDir(t, dir, spstore.Options{})
+		svc := brewsvc.New(m, brewsvc.Options{Workers: 1, Store: st})
+		defer svc.Close()
+		applyCfg, applyArgs := w.ApplyConfig()
+		groupCfg, groupArgs := w.GroupedConfig()
+		sweepCfg, sweepArgs := w.SweepConfig()
+		kernels := [3]struct {
+			req *brewsvc.Request
+			run func(addr uint64) (float64, error)
+		}{
+			{&brewsvc.Request{Config: applyCfg, Fn: w.Apply, Args: applyArgs},
+				func(a uint64) (float64, error) { return w.RunSweeps(a, false, iters) }},
+			{&brewsvc.Request{Config: groupCfg, Fn: w.ApplyGrouped, Args: groupArgs},
+				func(a uint64) (float64, error) { return w.RunSweeps(a, true, iters) }},
+			{&brewsvc.Request{Config: sweepCfg, Fn: w.Sweep, Args: sweepArgs},
+				func(a uint64) (float64, error) { return w.RunRewrittenSweeps(a, iters) }},
+		}
+		for n := range kernels {
+			i := n
+			if reverse {
+				i = len(kernels) - 1 - n
+			}
+			out := svc.Do(kernels[i].req)
+			if out.Degraded {
+				t.Fatalf("kernel %d degraded: %s (%v)", i, out.Reason, out.Err)
+			}
+			addrs[i] = out.Addr
+			if err := w.ResetMatrices(); err != nil {
+				t.Fatal(err)
+			}
+			v, err := kernels[i].run(out.Addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := w.Golden(iters); math.Abs(v-want) > 1e-9 {
+				t.Fatalf("kernel %d checksum %g, want %g", i, v, want)
+			}
+		}
+		insp := svc.Inspect()
+		return addrs, svc.Stats(), insp.Render(), insp.Persist.Relocated
+	}
+
+	cold, coldStats, _, _ := boot(false)
+	if coldStats.Traces != 3 || coldStats.WarmHits != 0 {
+		t.Fatalf("cold boot stats = %+v, want 3 traces", coldStats)
+	}
+	warm, warmStats, text, moved := boot(true)
+	if warmStats.Traces != 0 || warmStats.WarmHits != 3 {
+		t.Fatalf("reordered boot stats = %+v, want 0 traces / 3 warm hits", warmStats)
+	}
+	if warm == cold || moved == 0 {
+		t.Fatalf("reordered boot served %#x (cold %#x), %d moved: nothing landed elsewhere", warm, cold, moved)
+	}
+	if want := fmt.Sprintf("warm_hits=3 relocated=%d reval_fails=0 quarantined=0", moved); !strings.Contains(text, want) {
+		t.Fatalf("Inspect text lacks %q:\n%s", want, text)
 	}
 }
 

@@ -50,7 +50,7 @@ func CorpusCases() ([]Case, error) {
 		}
 		cases = append(cases, c)
 	}
-	x2, err := x2Case()
+	x2, err := x2Case(false)
 	if err != nil {
 		return nil, err
 	}
@@ -118,47 +118,86 @@ func pgasCase(prefetched bool) (Case, error) {
 }
 
 // buildX2 compiles the X2 chain and fills its input array.
-func buildX2() (m *vm.Machine, fn, arr uint64, err error) {
+func buildX2() (m *vm.Machine, fn, leaf, arr uint64, err error) {
 	if m, err = vm.New(); err != nil {
-		return nil, 0, 0, err
+		return nil, 0, 0, 0, err
 	}
 	l, err := minc.CompileAndLink(m, corpusX2Src, nil)
 	if err != nil {
-		return nil, 0, 0, err
+		return nil, 0, 0, 0, err
 	}
 	if arr, err = m.AllocHeap(corpusX2Len * 8); err != nil {
-		return nil, 0, 0, err
+		return nil, 0, 0, 0, err
 	}
 	for i := 0; i < corpusX2Len; i++ {
 		if err = m.Mem.WriteF64(arr+uint64(8*i), float64(i%5)*0.05); err != nil {
-			return nil, 0, 0, err
+			return nil, 0, 0, 0, err
 		}
 	}
+	if leaf, err = l.FuncAddr("leaf"); err != nil {
+		return nil, 0, 0, 0, err
+	}
 	fn, err = l.FuncAddr("chain")
-	return m, fn, arr, err
+	return m, fn, leaf, arr, err
 }
 
 // x2Case is chain() with nothing declared known and the driving loop
 // protected from unrolling: what the rewrite buys is the inlined callees.
-func x2Case() (Case, error) {
-	_, _, arr, err := buildX2()
+// keepLeaf leaves the calls to leaf() in place instead.
+func x2Case(keepLeaf bool) (Case, error) {
+	_, _, _, arr, err := buildX2()
 	if err != nil {
 		return Case{}, err
 	}
+	name := "x2-chain"
+	if keepLeaf {
+		name = "x2-chain+calls"
+	}
 	return Case{
-		Name:  "x2-chain",
+		Name:  name,
 		Float: true,
 		Build: func() (*Instance, error) {
-			m, fn, _, err := buildX2()
+			m, fn, leaf, _, err := buildX2()
 			if err != nil {
 				return nil, err
 			}
 			cfg := brew.NewConfig()
 			cfg.SetFuncOpts(fn, brew.FuncOpts{BranchesUnknown: true, ResultsUnknown: true})
+			if keepLeaf {
+				cfg.SetFuncOpts(leaf, brew.FuncOpts{NoInline: true})
+			}
 			return &Instance{M: m, Fn: fn, Cfg: cfg}, nil
 		},
 		NewArgs: func(r *rand.Rand) ([]uint64, []float64) {
 			return []uint64{arr, uint64(r.Intn(corpusX2Len + 1))}, nil
 		},
 	}, nil
+}
+
+// KeptCallCases returns guests whose rewrite keeps a call
+// (brew.FuncOpts.NoInline): the X2 chain calling leaf() and the stencil
+// sweep calling its kernel. The corpus inlines everything, so none of its
+// bodies holds a rel32 that leaves it; these do, and moving one to another
+// address — what the persist mode forces — has a field to re-aim.
+func KeptCallCases() ([]Case, error) {
+	x2, err := x2Case(true)
+	if err != nil {
+		return nil, err
+	}
+	stencils, err := StencilCases(corpusXS, corpusYS)
+	if err != nil {
+		return nil, err
+	}
+	sweep := stencils[2]
+	inlined := sweep.Build
+	sweep.Name += "+calls"
+	sweep.Build = func() (*Instance, error) {
+		inst, err := inlined()
+		if err != nil {
+			return nil, err
+		}
+		inst.Cfg.SetFuncOpts(inst.Args[4], brew.FuncOpts{NoInline: true}) // the kernel pointer
+		return inst, nil
+	}
+	return []Case{x2, sweep}, nil
 }

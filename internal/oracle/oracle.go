@@ -115,6 +115,9 @@ type CaseResult struct {
 	// Degraded reports that a Degrade-mode case fell back to the original
 	// function (RewriteErr then holds the cause and the case still ran).
 	Degraded bool
+	// Moved reports that a persist-mode case adopted its body at an address
+	// other than the one it was captured at (RunPersist).
+	Moved bool
 	// Divergence is non-nil when the invariant was violated.
 	Divergence *Divergence
 }

@@ -2,14 +2,17 @@ package spstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
 	"repro/internal/brew"
 	"repro/internal/isa"
+	"repro/internal/mem"
 	"repro/internal/obs"
 	"repro/internal/vm"
 )
@@ -92,10 +95,13 @@ func normalizeGuards(gs []brew.ParamGuard) []brew.ParamGuard {
 
 // revalErr is a revalidation failure: the record is internally
 // consistent (checksum passed) but its assumptions do not hold on the
-// live machine, or its body cannot be re-installed faithfully.
+// live machine, or its body cannot be installed faithfully.
 type revalErr struct {
 	step string // short reason for counters/events
 	err  error
+	// keep marks a placement miss: nothing is wrong with the record, the
+	// machine just has no place for it right now. It stays in the store.
+	keep bool
 }
 
 func (e *revalErr) Error() string {
@@ -113,12 +119,18 @@ func (e *revalErr) Unwrap() error { return e.err }
 //     recorded value (the live contents still satisfy the assumptions);
 //  4. guard set: the request's guards equal the recorded set;
 //  5. body integrity: the code bytes decode-walk as valid VX64;
-//  6. placement: the JIT allocator reproduces the recorded install
-//     address exactly (the body is position-dependent).
+//  6. placement: the body is copied to whatever address the JIT allocator
+//     offers, every rel32 that leaves the body is re-aimed at its old
+//     target, and the placed copy is decoded in lock-step with the
+//     recorded stream before it is written (see place).
 //
-// A clean miss returns (nil, nil, nil). A record failing any check is
+// A clean miss returns (nil, nil, nil). A record failing a check is
 // quarantined — with a flight-recorder event and counter — and an error
 // describing the failed step is returned; the caller re-traces fresh.
+// The exception is a placement miss, which says nothing about the
+// record: a full JIT buffer (step "jit-full") or an offered address from
+// which a rel32 cannot reach its target ("rel32-range") is counted and
+// returned the same way, but the record stays where it is.
 // On success the returned Outcome is indistinguishable from a fresh
 // brew.Do result: installing it through specmgr re-arms the assumption
 // watchpoints exactly like a fresh rewrite.
@@ -137,87 +149,97 @@ func (s *Store) Adopt(m *vm.Machine, cfg *brew.Config, fn uint64, args []uint64,
 		s.st.revalNS.Add(int64(time.Since(t0)))
 		return nil, nil, nil
 	}
-	out, rerr := s.adoptRecord(m, cfg, fn, args, a, guards, rec)
+	out, rerr := s.adoptRecord(m, cfg, fn, a, guards, rec)
 	s.st.revalNS.Add(int64(time.Since(t0)))
 	if rerr != nil {
-		step := "revalidate"
-		var re *revalErr
-		if errors.As(rerr, &re) {
-			step = re.step
-		}
-		s.st.revalFails.Add(1)
+		s.st.revalFail(rerr.step)
 		mRevalFails.Inc()
-		s.Quarantine(k, step)
-		emitPersist(obs.Event{Kind: obs.KindPersist, Fn: fn, Reason: "reval-fail: " + step})
+		if !rerr.keep {
+			s.Quarantine(k, rerr.step)
+		}
+		emitPersist(obs.Event{Kind: obs.KindPersist, Fn: fn, Reason: "reval-fail: " + rerr.step})
 		return nil, rec, rerr
 	}
 	s.st.warmHits.Add(1)
 	mWarmHits.Inc()
+	if out.Addr != rec.CodeAddr {
+		s.st.relocated.Add(1)
+		mRelocated.Inc()
+	}
 	emitPersist(obs.Event{Kind: obs.KindPersist, Fn: fn, Addr: out.Addr, Reason: "warm-adopt"})
 	return out, rec, nil
 }
 
-func (s *Store) adoptRecord(m *vm.Machine, cfg *brew.Config, fn uint64, args []uint64, a *assumptions, guards []brew.ParamGuard, rec *Record) (*brew.Outcome, error) {
+func (s *Store) adoptRecord(m *vm.Machine, cfg *brew.Config, fn uint64, a *assumptions, guards []brew.ParamGuard, rec *Record) (*brew.Outcome, *revalErr) {
 	// 1. Identity.
 	if rec.Fn != fn {
-		return nil, &revalErr{"fn-mismatch", fmt.Errorf("record fn %#x, request fn %#x", rec.Fn, fn)}
+		return nil, &revalErr{step: "fn-mismatch", err: fmt.Errorf("record fn %#x, request fn %#x", rec.Fn, fn)}
 	}
 	if fp := cfg.Fingerprint(); rec.Fingerprint != fp {
-		return nil, &revalErr{"fingerprint-mismatch", fmt.Errorf("record %016x, request %016x", rec.Fingerprint, fp)}
+		return nil, &revalErr{step: "fingerprint-mismatch", err: fmt.Errorf("record %016x, request %016x", rec.Fingerprint, fp)}
 	}
 	if rec.Effort != cfg.Effort.String() {
-		return nil, &revalErr{"effort-mismatch", fmt.Errorf("record %q, request %q", rec.Effort, cfg.Effort)}
+		return nil, &revalErr{step: "effort-mismatch", err: fmt.Errorf("record %q, request %q", rec.Effort, cfg.Effort)}
 	}
 	// 2. Original code window.
 	if rec.OrigLen != a.origLen || rec.OrigHash != a.origHash {
-		return nil, &revalErr{"orig-code-changed",
-			fmt.Errorf("recorded %d bytes %016x, live %d bytes %016x", rec.OrigLen, rec.OrigHash, a.origLen, a.origHash)}
+		return nil, &revalErr{step: "orig-code-changed",
+			err: fmt.Errorf("recorded %d bytes %016x, live %d bytes %016x", rec.OrigLen, rec.OrigHash, a.origLen, a.origHash)}
 	}
 	// 3. Frozen regions against the live machine.
 	if len(rec.Frozen) != len(a.frozen) {
-		return nil, &revalErr{"frozen-set-changed",
-			fmt.Errorf("recorded %d ranges, live config declares %d", len(rec.Frozen), len(a.frozen))}
+		return nil, &revalErr{step: "frozen-set-changed",
+			err: fmt.Errorf("recorded %d ranges, live config declares %d", len(rec.Frozen), len(a.frozen))}
 	}
 	for i, fr := range rec.Frozen {
 		if fr != a.frozen[i] {
-			return nil, &revalErr{"frozen-digest-mismatch",
-				fmt.Errorf("range [%#x,%#x): recorded %016x, live %016x (live range [%#x,%#x))",
+			return nil, &revalErr{step: "frozen-digest-mismatch",
+				err: fmt.Errorf("range [%#x,%#x): recorded %016x, live %016x (live range [%#x,%#x))",
 					fr.Start, fr.End, fr.Hash, a.frozen[i].Hash, a.frozen[i].Start, a.frozen[i].End)}
 		}
 	}
 	// 4. Guard set.
 	want := normalizeGuards(guards)
 	if len(want) != len(rec.Guards) {
-		return nil, &revalErr{"guard-set-changed", fmt.Errorf("recorded %d guards, request has %d", len(rec.Guards), len(want))}
+		return nil, &revalErr{step: "guard-set-changed", err: fmt.Errorf("recorded %d guards, request has %d", len(rec.Guards), len(want))}
 	}
 	for i := range want {
 		if want[i] != rec.Guards[i] {
-			return nil, &revalErr{"guard-set-changed",
-				fmt.Errorf("guard %d: recorded %+v, request %+v", i, rec.Guards[i], want[i])}
+			return nil, &revalErr{step: "guard-set-changed",
+				err: fmt.Errorf("guard %d: recorded %+v, request %+v", i, rec.Guards[i], want[i])}
 		}
 	}
 	// 5. Body integrity: the bytes must decode as VX64 end to end.
 	if rec.CodeSize <= 0 || len(rec.Code) != rec.CodeSize {
-		return nil, &revalErr{"body-size", fmt.Errorf("code size %d, %d bytes", rec.CodeSize, len(rec.Code))}
+		return nil, &revalErr{step: "body-size", err: fmt.Errorf("code size %d, %d bytes", rec.CodeSize, len(rec.Code))}
 	}
-	if _, derr := isa.DecodeAll(rec.Code, rec.CodeAddr); derr != nil {
-		return nil, &revalErr{"body-undecodable", derr}
+	stream, derr := isa.DecodeAll(rec.Code, rec.CodeAddr)
+	if derr != nil {
+		return nil, &revalErr{step: "body-undecodable", err: derr}
 	}
-	// 6. Placement: the body is position-dependent (intra-body branch
-	// targets are absolute), so the allocator must reproduce the recorded
-	// address; InstallJIT rolls its reservation back when gen errors.
-	addr, ierr := m.InstallJIT(rec.CodeSize, func(at uint64) ([]byte, error) {
-		if at != rec.CodeAddr {
-			return nil, fmt.Errorf("recorded at %#x, allocator offers %#x", rec.CodeAddr, at)
-		}
-		return rec.Code, nil
+	// 6. Placement: wherever the allocator has room. InstallJIT rolls its
+	// reservation back when gen errors.
+	var placed []byte
+	addr, ierr := m.InstallJIT(rec.CodeSize, func(at uint64) (b []byte, err error) {
+		placed, err = place(rec, stream, at)
+		return placed, err
 	})
-	if ierr != nil {
-		return nil, &revalErr{"relocation", ierr}
+	var re *revalErr
+	switch {
+	case ierr == nil:
+	case errors.Is(ierr, mem.ErrNoSpace):
+		return nil, &revalErr{step: "jit-full", err: ierr, keep: true}
+	case errors.Is(ierr, isa.ErrRelRange):
+		return nil, &revalErr{step: "rel32-range", err: ierr, keep: true}
+	case errors.As(ierr, &re):
+		return nil, re
+	default:
+		return nil, &revalErr{step: "install", err: ierr}
 	}
-	if addr != rec.CodeAddr || !s.verifyInstalled(m, rec) {
+	// Read-back: what the machine now holds is what was placed.
+	if got, err := m.Mem.ReadBytes(addr, rec.CodeSize); err != nil || !bytes.Equal(got, placed) {
 		_ = m.FreeJIT(addr)
-		return nil, &revalErr{"install-verify", fmt.Errorf("installed body does not match record at %#x", addr)}
+		return nil, &revalErr{step: "install-verify", err: fmt.Errorf("installed body does not read back at %#x", addr)}
 	}
 	res := &brew.Result{
 		Addr:         addr,
@@ -245,9 +267,51 @@ func (s *Store) adoptRecord(m *vm.Machine, cfg *brew.Config, fn uint64, args []u
 	return out, nil
 }
 
-// verifyInstalled reads the just-installed body back and compares it to
-// the record — a final paranoia check that the write really landed.
-func (s *Store) verifyInstalled(m *vm.Machine, rec *Record) bool {
-	got, err := m.Mem.ReadBytes(rec.CodeAddr, rec.CodeSize)
-	return err == nil && bytes.Equal(got, rec.Code)
+// place returns the record's body as it must read at address at. stream
+// is the decode of rec.Code at rec.CodeAddr (check 5), and it is the only
+// source of fixups: VX64 branches and calls are rel32 on the wire, so a
+// body moved as a block keeps every reference into itself, and exactly the
+// rel32 fields whose target lies outside [CodeAddr, CodeAddr+CodeSize) have
+// to be re-aimed — the paper's "relocation of all needed jumps, given start
+// addresses" (Section III). Nothing about them is stored in the record, so
+// there is no table that can disagree with the code.
+//
+// Every instruction of the copy is then decoded at its new address, in
+// lock-step with stream: same opcode, length, condition and operands, a
+// target inside the body shifted by at-CodeAddr, a target outside it
+// unchanged. A copy that does not decode to that is never handed to the
+// machine.
+func place(rec *Record, stream []isa.Instr, at uint64) ([]byte, error) {
+	lo, hi := rec.CodeAddr, rec.CodeAddr+uint64(rec.CodeSize)
+	body := append([]byte(nil), rec.Code...)
+	off := 0
+	for _, want := range stream {
+		end := off + want.Len
+		if f := isa.Info(want.Op).Format; f == isa.FRel || f == isa.FCC {
+			if t := want.Target(); t < lo || t >= hi {
+				// Leaves the body: the rel32 is the instruction's last four
+				// bytes, relative to its end.
+				rel := int64(t) - int64(at+uint64(end))
+				if rel < math.MinInt32 || rel > math.MaxInt32 {
+					return nil, fmt.Errorf("%w: %s at body offset %d, placed at %#x", isa.ErrRelRange, want, off, at)
+				}
+				binary.LittleEndian.PutUint32(body[end-4:end], uint32(int32(rel)))
+			} else {
+				// Stays inside: Dst is the absolute target, which moves
+				// with the body.
+				want.Dst.Imm += int64(at - lo)
+			}
+		}
+		want.Addr = at + uint64(off)
+		got, err := isa.Decode(body[off:], want.Addr)
+		if err != nil {
+			return nil, &revalErr{step: "lockstep-mismatch", err: fmt.Errorf("body offset %d: %w", off, err)}
+		}
+		if got != want {
+			return nil, &revalErr{step: "lockstep-mismatch",
+				err: fmt.Errorf("body offset %d: recorded %q, placed %q", off, want, got)}
+		}
+		off = end
+	}
+	return body, nil
 }

@@ -13,6 +13,7 @@ var (
 	mLocalHits      = telemetry.Default.Counter("spstore.local_hits")
 	mLocalMisses    = telemetry.Default.Counter("spstore.local_misses")
 	mWarmHits       = telemetry.Default.Counter("spstore.warm_hits")
+	mRelocated      = telemetry.Default.Counter("spstore.relocated")
 	mRevalFails     = telemetry.Default.Counter("spstore.warm_revalidation_failures")
 	mQuarantined    = telemetry.Default.Counter("spstore.quarantined")
 	mRemoteHits     = telemetry.Default.Counter("spstore.remote_hits")

@@ -16,8 +16,11 @@
 //   - Revalidate before adopt. A hit is never served blindly: the record
 //     checksum, the original code window, every frozen-region digest and
 //     the guard set are re-checked against the live machine, the body is
-//     decode-walked, and the JIT install address must reproduce exactly.
-//     Any failure quarantines the record and falls back to a fresh trace.
+//     decode-walked, placed at whatever address the JIT allocator offers
+//     with every reference that leaves it re-aimed, and decoded again in
+//     lock-step with the recorded stream. A failure quarantines the record
+//     and falls back to a fresh trace; a machine with no place for the body
+//     refuses it and leaves the record alone.
 //   - Crash-safe writes. Records are written atomically (unique temp
 //     file, fsync, rename) under a manifest generation counter; a torn
 //     or truncated record fails its whole-record checksum on read and is
@@ -108,8 +111,11 @@ type Record struct {
 	// Frozen digests every memory range the rewrite assumed constant.
 	Frozen []FrozenDigest `json:"frozen,omitempty"`
 	// CodeAddr/CodeSize/Code are the rewritten VX64 body and the JIT
-	// address it was installed at. The layout is position-dependent, so
-	// adoption must reproduce CodeAddr exactly or refuse.
+	// address it was captured at. Branches and calls are rel32, so the body
+	// moves as a block: adoption installs it wherever there is room and
+	// re-aims the references that leave [CodeAddr, CodeAddr+CodeSize),
+	// which it finds by decoding Code at CodeAddr — CodeAddr is what the
+	// bytes are read against, not where they have to go.
 	CodeAddr uint64 `json:"code_addr"`
 	CodeSize int    `json:"code_size"`
 	Code     []byte `json:"code"`

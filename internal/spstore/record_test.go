@@ -1,7 +1,9 @@
 package spstore
 
 import (
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -63,6 +65,21 @@ func TestRecordRoundtrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, rec) {
 		t.Fatalf("roundtrip mismatch:\n got %+v\nwant %+v", got, rec)
+	}
+}
+
+// TestRecordEncodingPinned: the bytes of an encoded record, pinned at the
+// commit before bodies could be adopted away from CodeAddr. Relocation
+// derives what it needs from the code; the format carries nothing new, and
+// a record written by any earlier build reads — and adopts — unchanged.
+func TestRecordEncodingPinned(t *testing.T) {
+	enc, err := testRecord().encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "67849af5db9afd324bfea19fcee37ce95044e8fcd55ec70e229504bbdea74d9b"
+	if got := fmt.Sprintf("%x", sha256.Sum256(enc)); len(enc) != 497 || got != want {
+		t.Fatalf("record encoding changed: %d bytes, sha256 %s (pinned: 497 bytes, %s)", len(enc), got, want)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -78,6 +79,7 @@ type Stats struct {
 	LocalHits    uint64 `json:"local_hits"`
 	LocalMisses  uint64 `json:"local_misses"`
 	WarmHits     uint64 `json:"warm_hits"`
+	Relocated    uint64 `json:"relocated"` // warm hits installed away from the recorded address
 	RevalFails   uint64 `json:"warm_revalidation_failures"`
 	Quarantined  uint64 `json:"quarantined"`
 	RemoteHits   uint64 `json:"remote_hits"`
@@ -90,6 +92,11 @@ type Stats struct {
 	RemoteQueue  int    `json:"remote_queue"` // gauge: write-behind backlog
 	RevalNS      int64  `json:"revalidation_ns"`
 	Generation   uint64 `json:"generation"`
+
+	// RevalFailsByStep splits RevalFails by the step of Adopt that refused:
+	// "orig-code-changed", "frozen-digest-mismatch", ... quarantine the
+	// record; the placement misses "jit-full" and "rel32-range" leave it.
+	RevalFailsByStep map[string]uint64 `json:"warm_revalidation_failures_by_step,omitempty"`
 }
 
 // Store is a crash-safe persistent rewrite store over one directory.
@@ -122,10 +129,22 @@ type Store struct {
 
 type counters struct {
 	puts, localHits, localMisses      atomic.Uint64
-	warmHits, revalFails, quarantined atomic.Uint64
+	warmHits, relocated, quarantined  atomic.Uint64
 	remoteHits, remotePuts, remoteTOs atomic.Uint64
 	remoteErrs, remoteDrops, brkOpens atomic.Uint64
 	revalNS                           atomic.Int64
+
+	failMu sync.Mutex
+	fails  map[string]uint64 // revalidation failures by step
+}
+
+func (c *counters) revalFail(step string) {
+	c.failMu.Lock()
+	defer c.failMu.Unlock()
+	if c.fails == nil {
+		c.fails = make(map[string]uint64)
+	}
+	c.fails[step]++
 }
 
 const (
@@ -395,6 +414,40 @@ func (s *Store) retire(name string) {
 	}
 }
 
+// quarantineName is what Quarantine calls a record it moves aside:
+// "<key>.g<generation>.<why>.rec" — the generation so that repeat offenders
+// under one key never collide and the directory can be aged without a stat,
+// the reason so that a listing says why the record is there long after the
+// process that refused it is gone.
+func quarantineName(k Key, gen uint64, reason string) string {
+	// why: the reason's leading words, up to the first character a step name
+	// or an error's headline would not contain.
+	why := strings.ToLower(reason)
+	if end := strings.IndexFunc(why, func(r rune) bool {
+		return !(r == ' ' || r == '-' || 'a' <= r && r <= 'z' || '0' <= r && r <= '9')
+	}); end >= 0 {
+		why = why[:end]
+	}
+	why = strings.ReplaceAll(strings.TrimSpace(why), " ", "-")
+	if why == "" {
+		why = "unknown"
+	}
+	return fmt.Sprintf("%s.g%d.%s%s", k, gen, why, recordExt)
+}
+
+// parseQuarantineName recovers the generation and the reason from a
+// quarantined file's name; both are zero for a name Quarantine did not make.
+func parseQuarantineName(name string) (gen uint64, why string) {
+	parts := strings.Split(strings.TrimSuffix(name, recordExt), ".")
+	if len(parts) >= 2 {
+		fmt.Sscanf(parts[1], "g%d", &gen)
+	}
+	if len(parts) >= 3 {
+		why = parts[2]
+	}
+	return gen, why
+}
+
 // listQuarantine returns the quarantine directory's file names, oldest
 // first: by the generation Quarantine put in the name, then by name.
 func (s *Store) listQuarantine() []string {
@@ -411,11 +464,8 @@ func (s *Store) listQuarantine() []string {
 		if e.IsDir() {
 			continue
 		}
-		a := aged{name: e.Name()}
-		if i := strings.LastIndex(a.name, ".g"); i >= 0 {
-			fmt.Sscanf(a.name[i:], ".g%d", &a.gen)
-		}
-		all = append(all, a)
+		gen, _ := parseQuarantineName(e.Name())
+		all = append(all, aged{e.Name(), gen})
 	}
 	sort.Slice(all, func(i, j int) bool {
 		if all[i].gen != all[j].gen {
@@ -506,13 +556,12 @@ func (s *Store) Get(k Key) (*Record, bool) {
 }
 
 // Quarantine moves the key's record file into the quarantine directory
-// (suffixed with the current generation so repeat offenders under the
-// same key never collide) and emits the flight-recorder event. Missing
-// files are a no-op. The directory keeps the newest quarantineKeep files
-// (see retire).
+// (see quarantineName) and emits the flight-recorder event. Missing files
+// are a no-op. The directory keeps the newest quarantineKeep files (see
+// retire).
 func (s *Store) Quarantine(k Key, reason string) {
 	src := s.pathFor(k)
-	name := fmt.Sprintf("%s.g%d%s", k.String(), s.gen.Load(), recordExt)
+	name := quarantineName(k, s.gen.Load(), reason)
 	if err := os.Rename(src, filepath.Join(s.dir, quarantineDir, name)); err != nil {
 		return
 	}
@@ -534,6 +583,9 @@ type Info struct {
 	Guards      int       `json:"guards,omitempty"`
 	Generation  uint64    `json:"generation,omitempty"`
 	Quarantined bool      `json:"quarantined,omitempty"`
+	// Reason is why a quarantined record was moved aside: the revalidation
+	// step that refused it, or the headline of the decode error.
+	Reason string `json:"reason,omitempty"`
 	// Err is set by Fsck when the record fails verification.
 	Err string `json:"err,omitempty"`
 }
@@ -569,13 +621,13 @@ func (s *Store) List() ([]Info, error) {
 				ModTime:     fi.ModTime(),
 				Quarantined: sub.quarantine,
 			}
-			if !sub.quarantine {
-				if b, err := os.ReadFile(in.File); err == nil {
-					if rec, derr := decodeRecord(b); derr == nil {
-						in.Fn, in.Effort = rec.Fn, rec.Effort
-						in.CodeSize, in.Guards = rec.CodeSize, len(rec.Guards)
-						in.Generation = rec.Generation
-					}
+			if sub.quarantine {
+				_, in.Reason = parseQuarantineName(e.Name())
+			} else if b, err := os.ReadFile(in.File); err == nil {
+				if rec, derr := decodeRecord(b); derr == nil {
+					in.Fn, in.Effort = rec.Fn, rec.Effort
+					in.CodeSize, in.Guards = rec.CodeSize, len(rec.Guards)
+					in.Generation = rec.Generation
 				}
 			}
 			out = append(out, in)
@@ -716,7 +768,7 @@ func (s *Store) Stats() Stats {
 		LocalHits:    s.st.localHits.Load(),
 		LocalMisses:  s.st.localMisses.Load(),
 		WarmHits:     s.st.warmHits.Load(),
-		RevalFails:   s.st.revalFails.Load(),
+		Relocated:    s.st.relocated.Load(),
 		Quarantined:  s.st.quarantined.Load(),
 		RemoteHits:   s.st.remoteHits.Load(),
 		RemotePuts:   s.st.remotePuts.Load(),
@@ -727,11 +779,42 @@ func (s *Store) Stats() Stats {
 		RevalNS:      s.st.revalNS.Load(),
 		Generation:   s.gen.Load(),
 	}
+	s.st.failMu.Lock()
+	for step, n := range s.st.fails {
+		if st.RevalFailsByStep == nil {
+			st.RevalFailsByStep = make(map[string]uint64, len(s.st.fails))
+		}
+		st.RevalFailsByStep[step] = n
+		st.RevalFails += n
+	}
+	s.st.failMu.Unlock()
 	if s.remote != nil {
 		st.BreakerOpen = s.remote.breakerOpen()
 		st.RemoteQueue = int(s.remote.pending.Load())
 	}
 	return st
+}
+
+// TallyText renders counts by name as "a=1 b=2", names in order.
+func TallyText(counts map[string]uint64) string {
+	names := make([]string, 0, len(counts))
+	for name := range counts {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for i, name := range names {
+		names[i] = fmt.Sprintf("%s=%d", name, counts[name])
+	}
+	return strings.Join(names, " ")
+}
+
+// RevalFailsText renders the revalidation failures with their split by
+// step: "3 (jit-full=2 orig-code-changed=1)", or "0".
+func (st Stats) RevalFailsText() string {
+	if len(st.RevalFailsByStep) == 0 {
+		return strconv.FormatUint(st.RevalFails, 10)
+	}
+	return fmt.Sprintf("%d (%s)", st.RevalFails, TallyText(st.RevalFailsByStep))
 }
 
 // Drain waits up to timeout for the remote write-behind queue to empty.

@@ -87,8 +87,9 @@ if [ "${RACE:-1}" = 1 ]; then
     # The persistent rewrite store runs a write-behind remote goroutine
     # with retry/backoff racing Close/Drain: full suite under -race,
     # including the truncate-at-every-offset and bit-flip-every-byte
-    # crash-safety tables and the injected-write-fault quarantine tests
-    # (-short caps the brewsvc persist chaos at 120 injected faults).
+    # crash-safety tables, the injected-write-fault quarantine tests, the
+    # damaged-record-never-relocated table and the corpus relocation round
+    # trip (-short caps the brewsvc persist chaos at 120 injected faults).
     echo "== go test -race (spstore)"
     go test -race ./internal/spstore/
 fi
@@ -113,6 +114,14 @@ fi
 # original function and stay observably equivalent under the oracle.
 echo "== brew-verify -faults smoke"
 go run ./cmd/brew-verify -seeds 0 -stencil=false -faults 60 -q
+
+# Relocation smoke: every persisted rewrite is adopted twice, where it was
+# captured and — behind a decoy in the JIT buffer — somewhere else, and the
+# moved body must equal a fresh rewrite made at that address and behave
+# like the original. brew-verify exits 1 on any divergence and when an
+# adoption it meant to move did not (zero moved adoptions included).
+echo "== brew-verify -persist smoke (adoptions moved)"
+go run ./cmd/brew-verify -seeds 20 -persist -q
 
 # brew-top smoke: the self-contained demo runs a coalesced burst plus a
 # tier promotion and renders the dashboard through the HTTP introspection
@@ -154,10 +163,8 @@ trap 'rm -f "$BENCH_JSON" "$LOAD_JSON"' EXIT
 go run -tags brewsvc_lockstat ./cmd/brew-load -requests 20000 -shards 8 -json "$LOAD_JSON" -quiet
 go run ./scripts/checkjson "$LOAD_JSON"
 
-# Persist/reload oracle smoke + brew-cache over the store it leaves
-# behind: every adopted record must be byte-identical to the fresh
-# rewrite, the store must list records, and fsck must find nothing
-# corrupt (exit 0).
+# brew-cache over the store a persist/reload oracle run leaves behind:
+# the store must list records, and fsck must find nothing corrupt (exit 0).
 echo "== brew-verify -persist + brew-cache smoke"
 PERSIST_DIR="$(mktemp -d)"
 trap 'rm -f "$BENCH_JSON" "$LOAD_JSON"; rm -rf "$PERSIST_DIR"' EXIT
