@@ -1,13 +1,13 @@
 // brew-cache is the operator tool for the persistent rewrite store
 // (internal/spstore): list the records a store directory holds, verify
 // their framing/checksums (optionally quarantining what fails), and
-// garbage-collect the quarantine plus the oldest live records down to a
-// byte budget.
+// garbage-collect the quarantine, the records an earlier build's format
+// left behind, and the oldest live records down to a byte budget.
 //
 //	brew-cache -store DIR ls            # live + quarantined records, and why quarantined
 //	brew-cache -store DIR fsck          # verify; exit 1 if anything is corrupt
 //	brew-cache -store DIR fsck -repair  # verify and quarantine what fails
-//	brew-cache -store DIR gc -max 64M   # drop quarantine, evict LRU over budget
+//	brew-cache -store DIR gc -max 64M   # drop quarantine and old-format records, evict LRU over budget
 //	brew-cache -store DIR ls -json      # machine-readable listings
 //
 // fsck exits 1 when corruption is found (repaired or not), so it slots
@@ -91,6 +91,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 				fmt.Fprintf(stdout, "quar %s  %7dB  reason=%s\n", in.Key, in.Size, reason)
 				continue
 			}
+			if in.OldFormat {
+				fmt.Fprintf(stdout, "old  %s  %7dB  (earlier format: gc removes it)\n", in.Key, in.Size)
+				continue
+			}
 			fmt.Fprintf(stdout, "live %s  %7dB  fn=%#x effort=%s code=%dB guards=%d gen=%d\n",
 				in.Key, in.Size, in.Fn, in.Effort, in.CodeSize, in.Guards, in.Generation)
 		}
@@ -129,8 +133,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if *asJSON {
 			return printJSON(rep)
 		}
-		fmt.Fprintf(stdout, "dropped %d quarantined + %d live (LRU), freed %dB, %dB live\n",
-			rep.QuarantineDropped, rep.LRUDropped, rep.BytesFreed, rep.BytesLive)
+		fmt.Fprintf(stdout, "dropped %d quarantined + %d old-format + %d live (LRU), freed %dB, %dB live\n",
+			rep.QuarantineDropped, rep.OldFormatDropped, rep.LRUDropped, rep.BytesFreed, rep.BytesLive)
 	default:
 		return fail(fmt.Errorf("unknown command %q (want ls, fsck or gc)", cmd))
 	}

@@ -2,8 +2,11 @@ package main
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -179,5 +182,59 @@ func TestListAndFsck(t *testing.T) {
 			}
 			tc.check(t, stdout.String())
 		})
+	}
+}
+
+// TestGCDropsOldFormat: a record an earlier build wrote ("SPSTORE1", JSON
+// body) beside the live ones is listed as old, reported by fsck as
+// old-format rather than as bad magic, and removed by gc — which leaves the
+// live records alone.
+func TestGCDropsOldFormat(t *testing.T) {
+	dir := t.TempDir()
+	applyKey, _, sweepKey := seedStore(t, dir)
+	oldKey := strings.Repeat("ab", 16)
+	body := []byte(`{"key":"` + oldKey + `","fn":4096,"effort":"full"}`)
+	old := binary.LittleEndian.AppendUint64([]byte("SPSTORE1"), uint64(len(body)))
+	old = append(append(old, body...), make([]byte, 8)...)
+	oldPath := filepath.Join(dir, oldKey+".rec")
+	if err := os.WriteFile(oldPath, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	cli := func(args string, rc int) string {
+		t.Helper()
+		var stdout, stderr bytes.Buffer
+		if got := run(append([]string{"-store", dir}, strings.Fields(args)...), &stdout, &stderr); got != rc {
+			t.Fatalf("%s: exit %d, want %d (stderr: %s)", args, got, rc, stderr.String())
+		}
+		return stdout.String()
+	}
+	if out := cli("ls", 0); !strings.Contains(out, "old  "+oldKey) {
+		t.Errorf("ls does not list the old record:\n%s", out)
+	}
+	if out := cli("fsck", 1); !strings.Contains(out, "corrupt "+oldKey+": old-format record") {
+		t.Errorf("fsck does not call the old record old-format:\n%s", out)
+	}
+	if out := strings.TrimSpace(cli("gc", 0)); !strings.HasPrefix(out, "dropped 1 quarantined + 1 old-format + 0 live (LRU)") {
+		t.Errorf("gc says %q", out)
+	}
+	if _, err := os.Stat(oldPath); !os.IsNotExist(err) {
+		t.Fatalf("gc left the old record: %v", err)
+	}
+	var live []string
+	for _, line := range strings.Split(strings.TrimSpace(cli("ls", 0)), "\n") {
+		if f := strings.Fields(line); f[0] == "live" {
+			live = append(live, f[1])
+		}
+	}
+	want := []string{applyKey, sweepKey}
+	if want[0] > want[1] {
+		want[0], want[1] = want[1], want[0]
+	}
+	if fmt.Sprint(live) != fmt.Sprint(want) {
+		t.Errorf("live records after gc %v, want %v", live, want)
+	}
+	if out := strings.TrimSpace(cli("fsck", 0)); out != "checked 2, corrupt 0, quarantined now 0, in quarantine 0" {
+		t.Errorf("fsck after gc says %q", out)
 	}
 }

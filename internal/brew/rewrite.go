@@ -32,7 +32,9 @@ type Result struct {
 	// TracedInstrs counts original instructions visited during tracing.
 	TracedInstrs int
 	// Report explains, per basic block and per optimization pass, what the
-	// rewriter kept, elided, folded or inlined and why.
+	// rewriter kept, elided, folded or inlined and why. It is nil on a
+	// result adopted from the persistent store, which keeps the report as
+	// raw bytes beside its record and decodes them on demand.
 	Report *RewriteReport
 
 	// Degraded marks a RewriteOrDegrade fallback: Addr is the original

@@ -2,12 +2,13 @@ package spstore
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/brew"
@@ -18,10 +19,11 @@ import (
 )
 
 // Capture snapshots a successful rewrite outcome as a Record: the code
-// bytes are read back from the machine's JIT segment and the full
-// assumption set (original-code digest, frozen-region digests, known
-// argument values, guard set, effort tier) is digested against the live
-// machine — the same derivation Adopt revalidates against later.
+// bytes are read back from the machine's JIT segment, the rewrite report is
+// kept as compact JSON, and the full assumption set (original-code digest,
+// frozen-region digests, known argument values, guard set, effort tier) is
+// digested against the live machine — the same derivation Adopt
+// revalidates against later.
 func Capture(m *vm.Machine, cfg *brew.Config, fn uint64, args []uint64, fargs []float64, guards []brew.ParamGuard, out *brew.Outcome) (*Record, error) {
 	if out == nil || out.Degraded || out.Result == nil || out.Result.Degraded {
 		return nil, fmt.Errorf("spstore: refusing to capture a degraded outcome")
@@ -44,7 +46,7 @@ func Capture(m *vm.Machine, cfg *brew.Config, fn uint64, args []uint64, fargs []
 		Fn:           fn,
 		OrigLen:      a.origLen,
 		OrigHash:     a.origHash,
-		Fingerprint:  cfg.Fingerprint(),
+		Fingerprint:  a.fingerprint,
 		Effort:       cfg.Effort.String(),
 		Guards:       normalizeGuards(guards),
 		Args:         append([]uint64(nil), args...),
@@ -52,13 +54,13 @@ func Capture(m *vm.Machine, cfg *brew.Config, fn uint64, args []uint64, fargs []
 		Frozen:       a.frozen,
 		CodeAddr:     res.Addr,
 		CodeSize:     res.CodeSize,
-		Code:         append([]byte(nil), code...),
+		Code:         code,
 		Blocks:       res.Blocks,
 		TracedInstrs: res.TracedInstrs,
 	}
 	if res.Report != nil {
-		if b, jerr := res.Report.JSON(); jerr == nil {
-			rec.Report = json.RawMessage(b)
+		if rec.Report, err = json.Marshal(res.Report); err != nil {
+			return nil, fmt.Errorf("spstore: encode report: %w", err)
 		}
 	}
 	return rec, nil
@@ -83,12 +85,12 @@ func normalizeGuards(gs []brew.ParamGuard) []brew.ParamGuard {
 	if len(gs) == 0 {
 		return nil
 	}
-	out := append([]brew.ParamGuard(nil), gs...)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Param != out[j].Param {
-			return out[i].Param < out[j].Param
+	out := slices.Clone(gs)
+	slices.SortFunc(out, func(a, b brew.ParamGuard) int {
+		if c := cmp.Compare(a.Param, b.Param); c != 0 {
+			return c
 		}
-		return out[i].Value < out[j].Value
+		return cmp.Compare(a.Value, b.Value)
 	})
 	return out
 }
@@ -132,7 +134,9 @@ func (e *revalErr) Unwrap() error { return e.err }
 // which a rel32 cannot reach its target ("rel32-range") is counted and
 // returned the same way, but the record stays where it is.
 // On success the returned Outcome is indistinguishable from a fresh
-// brew.Do result: installing it through specmgr re-arms the assumption
+// brew.Do result except that Result.Report is nil: the report stays raw on
+// the returned Record, and Record.DecodeReport decodes it for whoever asks.
+// Installing the Outcome through specmgr re-arms the assumption
 // watchpoints exactly like a fresh rewrite.
 func (s *Store) Adopt(m *vm.Machine, cfg *brew.Config, fn uint64, args []uint64, fargs []float64, guards []brew.ParamGuard) (*brew.Outcome, *Record, error) {
 	if cfg == nil {
@@ -175,8 +179,8 @@ func (s *Store) adoptRecord(m *vm.Machine, cfg *brew.Config, fn uint64, a *assum
 	if rec.Fn != fn {
 		return nil, &revalErr{step: "fn-mismatch", err: fmt.Errorf("record fn %#x, request fn %#x", rec.Fn, fn)}
 	}
-	if fp := cfg.Fingerprint(); rec.Fingerprint != fp {
-		return nil, &revalErr{step: "fingerprint-mismatch", err: fmt.Errorf("record %016x, request %016x", rec.Fingerprint, fp)}
+	if rec.Fingerprint != a.fingerprint {
+		return nil, &revalErr{step: "fingerprint-mismatch", err: fmt.Errorf("record %016x, request %016x", rec.Fingerprint, a.fingerprint)}
 	}
 	if rec.Effort != cfg.Effort.String() {
 		return nil, &revalErr{step: "effort-mismatch", err: fmt.Errorf("record %q, request %q", rec.Effort, cfg.Effort)}
@@ -224,20 +228,11 @@ func (s *Store) adoptRecord(m *vm.Machine, cfg *brew.Config, fn uint64, a *assum
 		placed, err = place(rec, stream, at)
 		return placed, err
 	})
-	var re *revalErr
-	switch {
-	case ierr == nil:
-	case errors.Is(ierr, mem.ErrNoSpace):
-		return nil, &revalErr{step: "jit-full", err: ierr, keep: true}
-	case errors.Is(ierr, isa.ErrRelRange):
-		return nil, &revalErr{step: "rel32-range", err: ierr, keep: true}
-	case errors.As(ierr, &re):
-		return nil, re
-	default:
-		return nil, &revalErr{step: "install", err: ierr}
+	if ierr != nil {
+		return nil, installErr(ierr)
 	}
 	// Read-back: what the machine now holds is what was placed.
-	if got, err := m.Mem.ReadBytes(addr, rec.CodeSize); err != nil || !bytes.Equal(got, placed) {
+	if got, err := m.Mem.Slice(addr, rec.CodeSize, mem.PermRead); err != nil || !bytes.Equal(got, placed) {
 		_ = m.FreeJIT(addr)
 		return nil, &revalErr{step: "install-verify", err: fmt.Errorf("installed body does not read back at %#x", addr)}
 	}
@@ -246,12 +241,6 @@ func (s *Store) adoptRecord(m *vm.Machine, cfg *brew.Config, fn uint64, a *assum
 		CodeSize:     rec.CodeSize,
 		Blocks:       rec.Blocks,
 		TracedInstrs: rec.TracedInstrs,
-	}
-	if len(rec.Report) > 0 {
-		var rep brew.RewriteReport
-		if json.Unmarshal(rec.Report, &rep) == nil {
-			res.Report = &rep
-		}
 	}
 	out := &brew.Outcome{Addr: addr, Result: res}
 	if len(rec.Guards) > 0 {
@@ -265,6 +254,22 @@ func (s *Store) adoptRecord(m *vm.Machine, cfg *brew.Config, fn uint64, a *assum
 		}
 	}
 	return out, nil
+}
+
+// installErr classifies a failed placement: a full buffer or an
+// unreachable target is the machine's, anything else the record's.
+func installErr(err error) *revalErr {
+	var re *revalErr
+	switch {
+	case errors.Is(err, mem.ErrNoSpace):
+		return &revalErr{step: "jit-full", err: err, keep: true}
+	case errors.Is(err, isa.ErrRelRange):
+		return &revalErr{step: "rel32-range", err: err, keep: true}
+	case errors.As(err, &re):
+		return re
+	default:
+		return &revalErr{step: "install", err: err}
+	}
 }
 
 // place returns the record's body as it must read at address at. stream

@@ -20,7 +20,9 @@ import (
 // circuit breaker after repeated failures — an unreliable Remote can
 // slow the background worker, never the serve path.
 type Remote interface {
-	// Get returns the encoded record for key, or ErrNotFound.
+	// Get returns the encoded record for key, or ErrNotFound. The slice
+	// passes to the caller, and the record decoded from it shares its bytes:
+	// an implementation must not write to it afterwards.
 	Get(key string) ([]byte, error)
 	// Put stores the encoded record under key.
 	Put(key string, data []byte) error

@@ -241,8 +241,11 @@ func (s *Store) Dir() string { return s.dir }
 // Generation returns the current manifest generation.
 func (s *Store) Generation() uint64 { return s.gen.Load() }
 
-func (s *Store) pathFor(k Key) string {
-	return filepath.Join(s.dir, k.String()+recordExt)
+func (s *Store) pathFor(k Key) string { return s.pathOf(k.String()) }
+
+// pathOf is pathFor of a key already rendered by Key.String.
+func (s *Store) pathOf(key string) string {
+	return filepath.Join(s.dir, key+recordExt)
 }
 
 func (s *Store) inject(point string) bool {
@@ -515,10 +518,11 @@ func (s *Store) writeManifest(b []byte) error {
 // to local. A local file that fails framing, checksum or decode is
 // quarantined and reported as a miss — corrupt bytes are never returned.
 func (s *Store) Get(k Key) (*Record, bool) {
-	path := s.pathFor(k)
+	key := k.String()
+	path := s.pathOf(key)
 	if b, err := os.ReadFile(path); err == nil {
 		rec, derr := decodeRecord(b)
-		if derr == nil && rec.Key == k.String() {
+		if derr == nil && rec.Key == key {
 			s.st.localHits.Add(1)
 			mLocalHits.Inc()
 			return rec, true
@@ -534,12 +538,12 @@ func (s *Store) Get(k Key) (*Record, bool) {
 	if s.remote == nil {
 		return nil, false
 	}
-	b, ok := s.remote.get(k.String())
+	b, ok := s.remote.get(key)
 	if !ok {
 		return nil, false
 	}
 	rec, derr := decodeRecord(b)
-	if derr != nil || rec.Key != k.String() {
+	if derr != nil || rec.Key != key {
 		// A corrupt remote copy is dropped, not quarantined (there is no
 		// local file to move); the counter still records the event.
 		s.st.quarantined.Add(1)
@@ -583,6 +587,9 @@ type Info struct {
 	Guards      int       `json:"guards,omitempty"`
 	Generation  uint64    `json:"generation,omitempty"`
 	Quarantined bool      `json:"quarantined,omitempty"`
+	// OldFormat marks a live file an earlier build wrote (oldMagic): no
+	// lookup can name it, and GC removes it.
+	OldFormat bool `json:"old_format,omitempty"`
 	// Reason is why a quarantined record was moved aside: the revalidation
 	// step that refused it, or the headline of the decode error.
 	Reason string `json:"reason,omitempty"`
@@ -624,10 +631,14 @@ func (s *Store) List() ([]Info, error) {
 			if sub.quarantine {
 				_, in.Reason = parseQuarantineName(e.Name())
 			} else if b, err := os.ReadFile(in.File); err == nil {
-				if rec, derr := decodeRecord(b); derr == nil {
+				rec, derr := decodeRecord(b)
+				switch {
+				case derr == nil:
 					in.Fn, in.Effort = rec.Fn, rec.Effort
 					in.CodeSize, in.Guards = rec.CodeSize, len(rec.Guards)
 					in.Generation = rec.Generation
+				case errors.Is(derr, errOldFormat):
+					in.OldFormat = true
 				}
 			}
 			out = append(out, in)
@@ -648,7 +659,8 @@ type FsckReport struct {
 
 // Fsck verifies the framing, checksum and decode of every live record.
 // With quarantine=true, corrupt records are moved to the quarantine
-// directory; otherwise they are only reported.
+// directory; otherwise they are only reported. A record an earlier build
+// wrote counts as corrupt, its error reading "old-format record".
 func (s *Store) Fsck(quarantine bool) (*FsckReport, error) {
 	rep := &FsckReport{}
 	ents, err := os.ReadDir(s.dir)
@@ -705,13 +717,15 @@ func (s *Store) Fsck(quarantine bool) (*FsckReport, error) {
 // GCReport summarizes a garbage-collection pass.
 type GCReport struct {
 	QuarantineDropped int   `json:"quarantine_dropped"`
+	OldFormatDropped  int   `json:"old_format_dropped"`
 	LRUDropped        int   `json:"lru_dropped"`
 	BytesFreed        int64 `json:"bytes_freed"`
 	BytesLive         int64 `json:"bytes_live"`
 }
 
-// GC drops every quarantined record, then — when maxBytes > 0 — evicts
-// live records oldest-first until the live tier fits the budget.
+// GC drops every quarantined record and every live one an earlier build
+// wrote (Info.OldFormat), then — when maxBytes > 0 — evicts live records
+// oldest-first until the live tier fits the budget.
 func (s *Store) GC(maxBytes int64) (*GCReport, error) {
 	rep := &GCReport{}
 	qdir := filepath.Join(s.dir, quarantineDir)
@@ -737,7 +751,14 @@ func (s *Store) GC(maxBytes int64) (*GCReport, error) {
 	}
 	var live []Info
 	for _, in := range infos {
-		if !in.Quarantined {
+		switch {
+		case in.Quarantined:
+		case in.OldFormat:
+			if os.Remove(in.File) == nil {
+				rep.OldFormatDropped++
+				rep.BytesFreed += in.Size
+			}
+		default:
 			live = append(live, in)
 			rep.BytesLive += in.Size
 		}
@@ -755,7 +776,7 @@ func (s *Store) GC(maxBytes int64) (*GCReport, error) {
 			}
 		}
 	}
-	if rep.QuarantineDropped+rep.LRUDropped > 0 {
+	if rep.QuarantineDropped+rep.OldFormatDropped+rep.LRUDropped > 0 {
 		s.bumpGeneration()
 	}
 	return rep, nil

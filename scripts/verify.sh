@@ -3,7 +3,7 @@
 #
 #   scripts/verify.sh          # full gate
 #   RACE=0 scripts/verify.sh   # skip the race pass (slow machines)
-#   FUZZ=0 scripts/verify.sh   # skip the differential-fuzz smoke
+#   FUZZ=0 scripts/verify.sh   # skip the fuzz smokes
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -180,6 +180,11 @@ if [ "${FUZZ:-1}" = 1 ]; then
     # equivalent to the original (returns, non-stack stores, memory, faults).
     echo "== FuzzDifferential smoke (10s)"
     go test -fuzz=FuzzDifferential -fuzztime=10s -run '^$' ./internal/brew/
+    # Store record decoder: never panics, and a clean decode re-encodes to
+    # the same bytes. Minimizing every new interesting input would spend the
+    # budget on a handful of them, so minimization is capped.
+    echo "== FuzzDecodeRecord smoke (5s)"
+    go test -fuzz=FuzzDecodeRecord -fuzztime=5s -fuzzminimizetime=200x -run '^$' ./internal/spstore/
 fi
 
 echo "verify: OK"
