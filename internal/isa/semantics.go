@@ -21,13 +21,13 @@ func EvalALU(op Opcode, a, b uint64) (result uint64, fl Flags, writes bool, err 
 	switch op {
 	case ADD, ADDI:
 		r := a + b
-		return r, addFlags(a, b, r), true, nil
+		return r, AddFlags(a, b, r), true, nil
 	case SUB, SUBI:
 		r := a - b
-		return r, subFlags(a, b, r), true, nil
+		return r, SubFlags(a, b, r), true, nil
 	case CMP, CMPI:
 		r := a - b
-		return a, subFlags(a, b, r), false, nil
+		return a, SubFlags(a, b, r), false, nil
 	case IMUL, IMULI:
 		r := a * b
 		fl := logicFlags(r)
@@ -100,7 +100,7 @@ func EvalALU1(op Opcode, a uint64) (result uint64, fl Flags, setsFlags bool) {
 	switch op {
 	case NEG:
 		r := -a
-		return r, subFlags(0, a, r), true
+		return r, SubFlags(0, a, r), true
 	case NOT:
 		return ^a, Flags{}, false
 	}
@@ -139,7 +139,10 @@ func EvalFPU(op Opcode, a, b float64) (result float64, fl Flags, writes bool) {
 	return 0, Flags{}, false
 }
 
-func addFlags(a, b, r uint64) Flags {
+// AddFlags are the flags of r = a + b. AddFlags, SubFlags and logicFlags
+// are the one definition of the integer flags: EvalALU builds on them, and
+// so does an executor that takes its own route to an ADD or a CMP.
+func AddFlags(a, b, r uint64) Flags {
 	return Flags{
 		Z: r == 0,
 		S: int64(r) < 0,
@@ -148,7 +151,8 @@ func addFlags(a, b, r uint64) Flags {
 	}
 }
 
-func subFlags(a, b, r uint64) Flags {
+// SubFlags are the flags of r = a - b (SUB, CMP, NEG as 0 - a).
+func SubFlags(a, b, r uint64) Flags {
 	return Flags{
 		Z: r == 0,
 		S: int64(r) < 0,

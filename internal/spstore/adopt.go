@@ -236,6 +236,10 @@ func (s *Store) adoptRecord(m *vm.Machine, cfg *brew.Config, fn uint64, a *assum
 		_ = m.FreeJIT(addr)
 		return nil, &revalErr{step: "install-verify", err: fmt.Errorf("installed body does not read back at %#x", addr)}
 	}
+	// place left its proof in stream: the decode of every instruction as
+	// it now reads at addr. The body's first call need not decode it
+	// again. A refusal only means it will.
+	_ = m.SeedCode(stream)
 	res := &brew.Result{
 		Addr:         addr,
 		CodeSize:     rec.CodeSize,
@@ -285,12 +289,13 @@ func installErr(err error) *revalErr {
 // lock-step with stream: same opcode, length, condition and operands, a
 // target inside the body shifted by at-CodeAddr, a target outside it
 // unchanged. A copy that does not decode to that is never handed to the
-// machine.
+// machine. Each stream entry is overwritten with its placed decode, so on
+// success stream is the proved decode of the body at at.
 func place(rec *Record, stream []isa.Instr, at uint64) ([]byte, error) {
 	lo, hi := rec.CodeAddr, rec.CodeAddr+uint64(rec.CodeSize)
 	body := append([]byte(nil), rec.Code...)
 	off := 0
-	for _, want := range stream {
+	for i, want := range stream {
 		end := off + want.Len
 		if f := isa.Info(want.Op).Format; f == isa.FRel || f == isa.FCC {
 			if t := want.Target(); t < lo || t >= hi {
@@ -316,6 +321,7 @@ func place(rec *Record, stream []isa.Instr, at uint64) ([]byte, error) {
 			return nil, &revalErr{step: "lockstep-mismatch",
 				err: fmt.Errorf("body offset %d: recorded %q, placed %q", off, want, got)}
 		}
+		stream[i] = got
 		off = end
 	}
 	return body, nil

@@ -1,38 +1,141 @@
 package vm
 
 import (
+	"fmt"
+
 	"repro/internal/isa"
 	"repro/internal/mem"
 )
 
 // Decoded code. Every executable segment the machine has executed from has
-// a page directory (text); a page holds the decoded form of the
-// instructions that start in one pageSize-byte stretch of the segment,
-// found by byte offset. The instruction loop reads a decoded instruction
-// in place, through a pointer.
+// a page directory (text); a page holds an executor record for each
+// instruction that starts in one pageSize-byte stretch of the segment,
+// found by byte offset. The instruction loop reads a record in place,
+// through a pointer.
 //
 // Who may touch the tables: the goroutine executing the machine, which
-// decodes on first execution, and whoever writes code — LoadCode,
-// InstallJIT, WriteJIT, InvalidateCode, InvalidateICache, a guest store
-// into an executable segment — which invalidates under jitMu. Writers may
-// race each other; as ever, they must not run while the machine executes
-// unless they are called from one of its callbacks.
+// decodes on first execution; whoever writes code — LoadCode, InstallJIT,
+// WriteJIT, InvalidateCode, InvalidateICache, a guest store into an
+// executable segment — which invalidates under jitMu; and SeedCode, which
+// fills records from a decode the caller has already verified, under
+// jitMu. Writers may race each other; as ever, they must not run while the
+// machine executes unless they are called from one of its callbacks.
 
 const (
 	pageShift = 12
 	pageSize  = 1 << pageShift
 )
 
+// xrec is the executor's record of one decoded instruction: what the loop
+// needs of an isa.Instr, in 24 bytes instead of ~96.
+type xrec struct {
+	// imm is the one constant an instruction carries: the FRI immediate
+	// (FMOVI: raw float64 bits), the FRel/FCC absolute target, or the
+	// memory operand's displacement.
+	imm int64
+	off uint16 // byte offset of the instruction in its page
+	op  isa.Opcode
+	cc  isa.Cond
+	// dst and src are the register operands: Instr.Dst.Reg and
+	// Instr.Src.Reg when those are registers (FRM: dst is the loaded
+	// register; FMR: src is the stored one).
+	dst, src isa.Reg
+	// base and index (isa.RegNone when absent) and scale describe the
+	// memory operand.
+	base, index isa.Reg
+	scale       uint8
+	len         uint8
+	cost        uint8 // the opcode's base cycle cost
+}
+
+// record builds the executor record of ins, which starts at page offset
+// off.
+func record(ins *isa.Instr, off uint64) xrec {
+	x := xrec{off: uint16(off), op: ins.Op, cc: ins.CC,
+		base: isa.RegNone, index: isa.RegNone, scale: 1, len: uint8(ins.Len), cost: opCost[ins.Op]}
+	switch d := &ins.Dst; d.Kind {
+	case isa.KindReg, isa.KindFReg, isa.KindVReg:
+		x.dst = d.Reg
+	case isa.KindImm:
+		x.imm = d.Imm
+	case isa.KindMem:
+		x.imm, x.base, x.index, x.scale = int64(d.Mem.Disp), d.Mem.Base, d.Mem.Index, d.Mem.Scale
+	}
+	switch s := &ins.Src; s.Kind {
+	case isa.KindReg, isa.KindFReg, isa.KindVReg:
+		x.src = s.Reg
+	case isa.KindImm:
+		x.imm = s.Imm
+	case isa.KindMem:
+		x.imm, x.base, x.index, x.scale = int64(s.Mem.Disp), s.Mem.Base, s.Mem.Index, s.Mem.Scale
+	}
+	return x
+}
+
+// opCost is isa's base cycle cost per opcode, flattened so a record
+// carries one byte instead of an isa.OpInfo lookup.
+var opCost = func() (t [256]uint8) {
+	for op := 0; op < isa.NumOpcodes; op++ {
+		t[op] = uint8(isa.Opcode(op).Cost())
+	}
+	return t
+}()
+
 // codePage is the decoded form of one page of code.
 type codePage struct {
-	// ins holds the page's decoded instructions in order of first
-	// execution. Entries are never rewritten in place, only orphaned (by
-	// invalidate) or dropped with the page, so the pointer the loop holds
-	// stays good across anything the instruction it belongs to can do.
-	ins []isa.Instr
+	// ins holds the page's records in the order they were made. A record
+	// is never rewritten in place, only orphaned (by invalidate) or left
+	// behind in an array the page has replaced, so the pointer the loop
+	// holds stays good across anything the instruction it belongs to can
+	// do — a store into its own code included.
+	ins []xrec
+	// live counts the records some slot points at; the rest of ins are
+	// orphans.
+	live int
 	// slot maps a byte offset in the page to 1 + the index in ins of the
-	// instruction starting there; 0: not decoded.
+	// record of the instruction starting there; 0: not decoded.
 	slot [pageSize]uint16
+}
+
+// add makes x the record of the instruction at page offset x.off, which
+// has none, and returns it.
+func (pg *codePage) add(x xrec) *xrec {
+	pg.room(1)
+	pg.ins = append(pg.ins, x)
+	pg.live++
+	pg.slot[x.off] = uint16(len(pg.ins))
+	return &pg.ins[len(pg.ins)-1]
+}
+
+// room makes space for n more records. A full array is not grown in place:
+// its live records move, in order, to a fresh one, and its orphans stay
+// behind. The fresh array holds twice the live records plus two (records
+// decoded one at a time), or exactly live+n when that is more (a body
+// seeded whole). Live records start at distinct offsets, so neither
+// exceeds 2*pageSize+2 and an index always fits a 16-bit slot.
+func (pg *codePage) room(n int) {
+	if len(pg.ins)+n <= cap(pg.ins) {
+		return
+	}
+	ins := make([]xrec, 0, max(2*pg.live+2, pg.live+n))
+	for i := range pg.ins {
+		if x := &pg.ins[i]; int(pg.slot[x.off]) == i+1 {
+			ins = append(ins, *x)
+			pg.slot[x.off] = uint16(len(ins))
+		}
+	}
+	pg.ins = ins
+}
+
+// forget orphans the records of the instructions starting at page offsets
+// [from, to).
+func (pg *codePage) forget(from, to uint64) {
+	for _, s := range pg.slot[from:to] {
+		if s != 0 {
+			pg.live--
+		}
+	}
+	clear(pg.slot[from:to])
 }
 
 // text is the page directory of one executable segment.
@@ -41,14 +144,24 @@ type text struct {
 	pages []*codePage // nil: nothing decoded in that page
 }
 
+// page returns page pi of the directory, creating it empty.
+func (t *text) page(pi uint64) *codePage {
+	pg := t.pages[pi]
+	if pg == nil {
+		pg = new(codePage)
+		t.pages[pi] = pg
+	}
+	return pg
+}
+
 // noPage is what Machine.page points at when no page is current: every
 // slot misses, so the loop needs no nil check.
 var noPage codePage
 
-// fetch returns the decoded instruction at pc, decoding it if this is its
-// first execution since it was written, and makes its page the current
-// one. The loop calls it when the current page does not have pc.
-func (m *Machine) fetch(pc uint64) (*isa.Instr, error) {
+// fetch returns the record of the instruction at pc, decoding it if this
+// is its first execution since it was written, and makes its page the
+// current one. The loop calls it when the current page does not have pc.
+func (m *Machine) fetch(pc uint64) (*xrec, error) {
 	t := m.textAt(pc)
 	if t == nil {
 		_, err := m.Mem.FetchSlice(pc) // unmapped or not executable: say which
@@ -56,11 +169,7 @@ func (m *Machine) fetch(pc uint64) (*isa.Instr, error) {
 	}
 	off := pc - t.seg.Base
 	pi, po := off>>pageShift, off&(pageSize-1)
-	pg := t.pages[pi]
-	if pg == nil {
-		pg = new(codePage)
-		t.pages[pi] = pg
-	}
+	pg := t.page(pi)
 	m.page, m.pageBase = pg, pc-po
 	if i := pg.slot[po]; i != 0 {
 		return &pg.ins[i-1], nil
@@ -69,16 +178,8 @@ func (m *Machine) fetch(pc uint64) (*isa.Instr, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(pg.ins) == pageSize {
-		// Live instructions start at distinct offsets, so a full table is
-		// mostly orphans of invalidated ranges: start the page over.
-		pg = new(codePage)
-		t.pages[pi], m.page = pg, pg
-	}
-	pg.ins = append(pg.ins, ins)
-	pg.slot[po] = uint16(len(pg.ins))
 	m.decodes++
-	return &pg.ins[len(pg.ins)-1], nil
+	return pg.add(record(&ins, po)), nil
 }
 
 // textAt returns the directory of the executable segment holding pc,
@@ -97,6 +198,60 @@ func (m *Machine) textAt(pc uint64) *text {
 	t := &text{seg: s, pages: make([]*codePage, (s.Size+pageSize-1)>>pageShift)}
 	m.texts = append(m.texts, t)
 	return t
+}
+
+// SeedCode makes stream the machine's decoded form of the code it was
+// decoded from, so that code's first execution decodes nothing. stream
+// must be a decode the caller has verified against what the machine holds
+// now — spstore's adoption has proved every instruction of a placed body
+// in lock-step and read the body back — and it must be contiguous, lie in
+// one executable segment, and name at each address the opcode byte memory
+// holds there; otherwise SeedCode refuses and seeds nothing. An
+// instruction that already has a record keeps it: it was decoded from the
+// same bytes, or a write since would have dropped it. Like InstallJIT it
+// takes the JIT lock, and the machine must not be executing meanwhile.
+func (m *Machine) SeedCode(stream []isa.Instr) error {
+	if len(stream) == 0 {
+		return nil
+	}
+	m.jitMu.Lock()
+	defer m.jitMu.Unlock()
+	lo := stream[0].Addr
+	t := m.textAt(lo)
+	if t == nil {
+		return fmt.Errorf("vm: seed at %#x: not in an executable segment", lo)
+	}
+	end := lo
+	for i := range stream {
+		ins := &stream[i]
+		if ins.Addr != end || ins.Len <= 0 || ins.Len > isa.MaxInstrLen {
+			return fmt.Errorf("vm: seed at %#x: instruction %d (%d bytes at %#x) does not follow at %#x",
+				lo, i, ins.Len, ins.Addr, end)
+		}
+		end += uint64(ins.Len)
+		if end > t.seg.End() {
+			return fmt.Errorf("vm: seed at %#x: runs past the end of %q", lo, t.seg.Name)
+		}
+		if b := t.seg.Fetch(ins.Addr); b[0] != byte(ins.Op) {
+			return fmt.Errorf("vm: seed at %#x: %s at %#x, memory holds opcode byte %#02x", lo, ins.Op, ins.Addr, b[0])
+		}
+	}
+	for i := 0; i < len(stream); {
+		pi := (stream[i].Addr - t.seg.Base) >> pageShift
+		j := i + 1
+		for j < len(stream) && (stream[j].Addr-t.seg.Base)>>pageShift == pi {
+			j++
+		}
+		pg := t.page(pi)
+		pg.room(j - i)
+		for k := i; k < j; k++ {
+			if po := (stream[k].Addr - t.seg.Base) & (pageSize - 1); pg.slot[po] == 0 {
+				pg.add(record(&stream[k], po))
+			}
+		}
+		i = j
+	}
+	return nil
 }
 
 // invalidate forgets every decoded instruction a write to [lo, hi) may have
@@ -124,7 +279,7 @@ func (m *Machine) invalidate(lo, hi uint64) {
 						m.page, m.pageBase = &noPage, 0
 					}
 				} else {
-					clear(pg.slot[from&(pageSize-1) : (stop-1)&(pageSize-1)+1])
+					pg.forget(from&(pageSize-1), (stop-1)&(pageSize-1)+1)
 				}
 			}
 			from = stop

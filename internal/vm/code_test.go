@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/asm"
+	"repro/internal/isa"
 	"repro/internal/vm"
 )
 
@@ -36,9 +37,10 @@ func installBody(t *testing.T, m *vm.Machine, ret int) uint64 {
 // an instruction it has already executed, by every kind of store, and
 // runs it again must see the new value. The instruction is a 10-byte
 // movi, so the stores land 2 to 9 bytes past the start of the decoded
-// instruction they must invalidate.
+// instruction they must invalidate. The seeded variants start from
+// records SeedCode filled before the first call instead of from decodes.
 func TestGuestStoreIntoCodeIsSeen(t *testing.T) {
-	const old, new = 0x1111111111111111, 0x2222222222222222
+	const new = 0x2222222222222222
 	cases := []struct {
 		name, patch string
 		want        uint64
@@ -50,11 +52,21 @@ func TestGuestStoreIntoCodeIsSeen(t *testing.T) {
 		// Lanes 1-3 are zero bytes: they overwrite the 24 NOPs with NOPs.
 		{"vstore", "movi r5, lanes\n vload v0, [r5]\n vstore [r4+2], v0", new},
 	}
-	for _, c := range cases {
-		c := c
-		t.Run(c.name, func(t *testing.T) {
-			m := vm.MustNew()
-			im, err := asm.Load(m, `
+	for _, seeded := range []bool{false, true} {
+		for _, c := range cases {
+			name := c.name
+			if seeded {
+				name += "/seeded"
+			}
+			t.Run(name, func(t *testing.T) { guestStoreIntoCode(t, c.patch, c.want, seeded) })
+		}
+	}
+}
+
+func guestStoreIntoCode(t *testing.T, patch string, want uint64, seeded bool) {
+	const old = 0x1111111111111111
+	m := vm.MustNew()
+	im, err := asm.Load(m, `
 f:
     movi r2, 0
 here:
@@ -64,7 +76,7 @@ here:
     jeq  done
     movi r2, 1
     movi r4, here
-    `+c.patch+`
+    `+patch+`
     jmp  here
 done:
     ret
@@ -72,17 +84,24 @@ done:
 lanes:
     .quad 0x2222222222222222, 0, 0, 0
 `)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := m.Call(im.MustEntry("f"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != c.want {
-				t.Errorf("second execution returned %#x, want %#x (first returns %#x)", got, c.want, uint64(old))
-			}
-		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seeded {
+		stream, err := isa.DecodeAll(im.Code, im.CodeBase)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.SeedCode(stream); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := m.Call(im.MustEntry("f"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Errorf("second execution returned %#x, want %#x (first returns %#x)", got, want, uint64(old))
 	}
 }
 
@@ -174,7 +193,7 @@ func TestInstallLeavesOtherDecodesInPlace(t *testing.T) {
 
 // TestFullPageOfOrphansStartsOver: patching and re-executing one spot
 // thousands of times orphans a decoded entry each time; the page must
-// start over rather than outgrow its 16-bit slots.
+// leave its orphans behind rather than outgrow its 16-bit slots.
 func TestFullPageOfOrphansStartsOver(t *testing.T) {
 	m := vm.MustNew()
 	a := installBody(t, m, 0)
@@ -185,6 +204,63 @@ func TestFullPageOfOrphansStartsOver(t *testing.T) {
 		if got, err := m.Call(a); err != nil || got != uint64(i%100+1) {
 			t.Fatalf("patch %d: returned %d, %v", i, got, err)
 		}
+	}
+}
+
+// TestPageOfChurnedBodyStaysSmall: a body installed, called and freed at
+// the same address 10 000 times leaves its page holding no more records
+// than the live ones plus one body — a page that fills moves its live
+// records to a fresh array and leaves the orphans behind, where they used
+// to pile up to 4 096 entries. With a resident neighbour on the page, so
+// that the live count never reaches zero, it holds at most twice the live
+// records plus a body.
+func TestPageOfChurnedBodyStaysSmall(t *testing.T) {
+	const body = 3 // movi, addi, ret
+	// churn checks after each call that the page counts wantLive live
+	// records and holds at most bound of them.
+	churn := func(t *testing.T, m *vm.Machine, wantLive, bound int) {
+		t.Helper()
+		first := uint64(0)
+		for i := 0; i < 10000; i++ {
+			b := installBody(t, m, i%100)
+			if first == 0 {
+				first = b
+			} else if b != first {
+				t.Fatalf("round %d: body at %#x, first at %#x", i, b, first)
+			}
+			if got, err := m.Call(b); err != nil || got != uint64(i%100+1) {
+				t.Fatalf("round %d: returned %d, %v", i, got, err)
+			}
+			if held, live := m.PageRecords(b); live != wantLive || held > bound {
+				t.Fatalf("round %d: page holds %d records, %d live; want %d live, at most %d held",
+					i, held, live, wantLive, bound)
+			}
+			if err := m.FreeJIT(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	t.Run("alone", func(t *testing.T) {
+		m := vm.MustNew()
+		churn(t, m, body, body+body)
+	})
+	t.Run("beside-resident", func(t *testing.T) {
+		m := vm.MustNew()
+		resident := installBody(t, m, 7)
+		if got, err := m.Call(resident); err != nil || got != 8 {
+			t.Fatalf("resident returned %d, %v", got, err)
+		}
+		churn(t, m, 2*body, 2*(2*body+body))
+		if got, err := m.Call(resident); err != nil || got != 8 {
+			t.Fatalf("resident returned %d, %v after the churn", got, err)
+		}
+	})
+}
+
+// TestRecordSize: an executor record fits in half a host cache line.
+func TestRecordSize(t *testing.T) {
+	if vm.RecordSize > 32 {
+		t.Fatalf("executor record is %d bytes, want <= 32", vm.RecordSize)
 	}
 }
 

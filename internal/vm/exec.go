@@ -45,30 +45,21 @@ func (m *Machine) rearm() {
 		m.OnCall != nil || len(m.watches) > 0 || len(m.RegionCosts) > 0 || len(m.FuncCost) > 0
 }
 
-// opCost is isa's base cycle cost per opcode, flattened so the loop reads
-// one byte instead of copying an isa.OpInfo per instruction.
-var opCost = func() (t [256]uint8) {
-	for op := 0; op < isa.NumOpcodes; op++ {
-		t[op] = uint8(isa.Opcode(op).Cost())
-	}
-	return t
-}()
-
 // fault decorates an execution error with the current PC.
 func (m *Machine) fault(err error) error {
 	return fmt.Errorf("vm: at pc=0x%x: %w", m.CPU.PC, err)
 }
 
-// effAddr computes the effective address of a memory operand.
-func (m *Machine) effAddr(mr *isa.MemRef) uint64 {
-	var a uint64
-	if mr.HasBase() {
-		a += m.CPU.R[mr.Base]
+// effAddr computes the effective address of x's memory operand.
+func (m *Machine) effAddr(x *xrec) uint64 {
+	a := uint64(x.imm)
+	if x.base != isa.RegNone {
+		a += m.CPU.R[x.base]
 	}
-	if mr.HasIndex() {
-		a += m.CPU.R[mr.Index] * uint64(mr.Scale)
+	if x.index != isa.RegNone {
+		a += m.CPU.R[x.index] * uint64(x.scale)
 	}
-	return a + uint64(int64(mr.Disp))
+	return a
 }
 
 // segment returns the segment whose committed window holds addr, trying
@@ -228,19 +219,19 @@ func (m *Machine) exec(n int64) error {
 	c := &m.CPU
 	for ; n > 0; n-- {
 		pc := c.PC
-		var ins *isa.Instr
+		var x *xrec
 		if off := pc - m.pageBase; off < pageSize && m.page.slot[off] != 0 {
-			ins = &m.page.ins[m.page.slot[off]-1]
+			x = &m.page.ins[m.page.slot[off]-1]
 		} else {
 			var err error
-			if ins, err = m.fetch(pc); err != nil {
+			if x, err = m.fetch(pc); err != nil {
 				return m.fault(err)
 			}
 		}
-		next := pc + uint64(ins.Len)
+		next := pc + uint64(x.len)
 		m.Stats.Instructions++
-		m.Stats.OpCount[ins.Op]++
-		m.Stats.Cycles += uint64(opCost[ins.Op])
+		m.Stats.OpCount[x.op]++
+		m.Stats.Cycles += uint64(x.cost)
 		if m.armed {
 			if p := m.Prof; p != nil && m.Stats.Cycles >= p.nextAt {
 				p.sample(m.Stats.Cycles, pc)
@@ -248,7 +239,7 @@ func (m *Machine) exec(n int64) error {
 			}
 		}
 
-		switch ins.Op {
+		switch x.op {
 		case isa.NOP:
 
 		case isa.HALT:
@@ -258,46 +249,70 @@ func (m *Machine) exec(n int64) error {
 			c.PC = next
 			return ErrBreak
 
-		case isa.MOV, isa.ADD, isa.SUB, isa.IMUL, isa.IDIV, isa.IREM, isa.AND,
-			isa.OR, isa.XOR, isa.SHL, isa.SHR, isa.SAR, isa.CMP, isa.TEST:
-			r, fl, writes, err := isa.EvalALU(ins.Op, c.R[ins.Dst.Reg], c.R[ins.Src.Reg])
+		// The commonest integer ops take their own cases; the rest of the
+		// ALU goes through isa.EvalALU. Both use isa's flag definitions.
+		case isa.MOV:
+			c.R[x.dst] = c.R[x.src]
+
+		case isa.MOVI:
+			c.R[x.dst] = uint64(x.imm)
+
+		case isa.ADD:
+			a, b := c.R[x.dst], c.R[x.src]
+			c.R[x.dst], c.Flags = a+b, isa.AddFlags(a, b, a+b)
+
+		case isa.ADDI:
+			a, b := c.R[x.dst], uint64(x.imm)
+			c.R[x.dst], c.Flags = a+b, isa.AddFlags(a, b, a+b)
+
+		case isa.CMP:
+			a, b := c.R[x.dst], c.R[x.src]
+			c.Flags = isa.SubFlags(a, b, a-b)
+
+		case isa.CMPI:
+			a, b := c.R[x.dst], uint64(x.imm)
+			c.Flags = isa.SubFlags(a, b, a-b)
+
+		case isa.SUB, isa.IMUL, isa.IDIV, isa.IREM, isa.AND,
+			isa.OR, isa.XOR, isa.SHL, isa.SHR, isa.SAR, isa.TEST:
+			r, fl, writes, err := isa.EvalALU(x.op, c.R[x.dst], c.R[x.src])
 			if err != nil {
 				return m.fault(err)
 			}
 			if writes {
-				c.R[ins.Dst.Reg] = r
+				c.R[x.dst] = r
 			}
-			if isa.SetsFlags(ins.Op) {
+			if isa.SetsFlags(x.op) {
 				c.Flags = fl
 			}
 
-		case isa.MOVI, isa.ADDI, isa.SUBI, isa.IMULI, isa.ANDI, isa.ORI,
-			isa.XORI, isa.SHLI, isa.SHRI, isa.SARI, isa.CMPI:
-			r, fl, writes, err := isa.EvalALU(ins.Op, c.R[ins.Dst.Reg], uint64(ins.Src.Imm))
+		case isa.SUBI, isa.IMULI, isa.ANDI, isa.ORI,
+			isa.XORI, isa.SHLI, isa.SHRI, isa.SARI:
+			r, fl, writes, err := isa.EvalALU(x.op, c.R[x.dst], uint64(x.imm))
 			if err != nil {
 				return m.fault(err)
 			}
 			if writes {
-				c.R[ins.Dst.Reg] = r
+				c.R[x.dst] = r
 			}
-			if isa.SetsFlags(ins.Op) {
+			if isa.SetsFlags(x.op) {
 				c.Flags = fl
 			}
 
 		case isa.NEG, isa.NOT:
-			r, fl, setsFl := isa.EvalALU1(ins.Op, c.R[ins.Dst.Reg])
-			c.R[ins.Dst.Reg] = r
+			r, fl, setsFl := isa.EvalALU1(x.op, c.R[x.dst])
+			c.R[x.dst] = r
 			if setsFl {
 				c.Flags = fl
 			}
 
 		case isa.LEA:
-			c.R[ins.Dst.Reg] = m.effAddr(&ins.Src.Mem)
+			c.R[x.dst] = m.effAddr(x)
 
 		case isa.LOAD, isa.LOADB:
-			addr := m.effAddr(&ins.Src.Mem)
+			addr := m.effAddr(x)
 			size := 8
-			if ins.Op == isa.LOADB {
+			if x.op == isa.LOADB {
 				size = 1
 			}
 			v, err := m.load(addr, size)
@@ -305,22 +320,22 @@ func (m *Machine) exec(n int64) error {
 				return m.fault(err)
 			}
 			m.chargeMem(addr, size, false)
-			c.R[ins.Dst.Reg] = v
+			c.R[x.dst] = v
 
 		case isa.STORE, isa.STOREB:
-			addr := m.effAddr(&ins.Dst.Mem)
+			addr := m.effAddr(x)
 			size := 8
-			if ins.Op == isa.STOREB {
+			if x.op == isa.STOREB {
 				size = 1
 			}
-			if err := m.store(addr, c.R[ins.Src.Reg], size); err != nil {
+			if err := m.store(addr, c.R[x.src], size); err != nil {
 				return m.fault(err)
 			}
 			m.chargeMem(addr, size, true)
-			m.noteStore(addr, size, c.R[ins.Src.Reg])
+			m.noteStore(addr, size, c.R[x.src])
 
 		case isa.PUSH:
-			if err := m.push(c.R[ins.Dst.Reg]); err != nil {
+			if err := m.push(c.R[x.dst]); err != nil {
 				return m.fault(err)
 			}
 
@@ -329,7 +344,7 @@ func (m *Machine) exec(n int64) error {
 			if err != nil {
 				return m.fault(err)
 			}
-			c.R[ins.Dst.Reg] = v
+			c.R[x.dst] = v
 
 		case isa.PUSHF:
 			if err := m.push(c.Flags.Bits()); err != nil {
@@ -344,37 +359,37 @@ func (m *Machine) exec(n int64) error {
 			c.Flags = isa.FlagsFromBits(v)
 
 		case isa.SETCC:
-			if ins.CC.Holds(c.Flags) {
-				c.R[ins.Dst.Reg] = 1
+			if x.cc.Holds(c.Flags) {
+				c.R[x.dst] = 1
 			} else {
-				c.R[ins.Dst.Reg] = 0
+				c.R[x.dst] = 0
 			}
 
 		case isa.JMP:
 			m.Stats.Branches++
 			m.Stats.TakenBranches++
-			c.PC = ins.Target()
+			c.PC = uint64(x.imm)
 			continue
 
 		case isa.JMPR:
 			m.Stats.Branches++
 			m.Stats.TakenBranches++
-			c.PC = c.R[ins.Dst.Reg]
+			c.PC = c.R[x.dst]
 			continue
 
 		case isa.JCC:
 			m.Stats.Branches++
-			if ins.CC.Holds(c.Flags) {
+			if x.cc.Holds(c.Flags) {
 				m.Stats.TakenBranches++
 				m.Stats.Cycles++ // taken-branch penalty
-				c.PC = ins.Target()
+				c.PC = uint64(x.imm)
 				continue
 			}
 
 		case isa.CALL, isa.CALLR:
-			target := ins.Target()
-			if ins.Op == isa.CALLR {
-				target = c.R[ins.Dst.Reg]
+			target := uint64(x.imm)
+			if x.op == isa.CALLR {
+				target = c.R[x.dst]
 			}
 			m.Stats.Calls++
 			if m.armed {
@@ -407,64 +422,64 @@ func (m *Machine) exec(n int64) error {
 			continue
 
 		case isa.FMOV, isa.FADD, isa.FSUB, isa.FMUL, isa.FDIV, isa.FSQRT, isa.FCMP:
-			r, fl, writes := isa.EvalFPU(ins.Op, c.F[ins.Dst.Reg], c.F[ins.Src.Reg])
+			r, fl, writes := isa.EvalFPU(x.op, c.F[x.dst], c.F[x.src])
 			if writes {
-				c.F[ins.Dst.Reg] = r
+				c.F[x.dst] = r
 			}
-			if ins.Op == isa.FCMP {
+			if x.op == isa.FCMP {
 				c.Flags = fl
 			}
 
 		case isa.FMOVI:
-			c.F[ins.Dst.Reg] = math.Float64frombits(uint64(ins.Src.Imm))
+			c.F[x.dst] = math.Float64frombits(uint64(x.imm))
 
 		case isa.FNEG:
-			c.F[ins.Dst.Reg] = -c.F[ins.Dst.Reg]
+			c.F[x.dst] = -c.F[x.dst]
 
 		case isa.FLOAD:
-			addr := m.effAddr(&ins.Src.Mem)
+			addr := m.effAddr(x)
 			v, err := m.load(addr, 8)
 			if err != nil {
 				return m.fault(err)
 			}
 			m.chargeMem(addr, 8, false)
-			c.F[ins.Dst.Reg] = math.Float64frombits(v)
+			c.F[x.dst] = math.Float64frombits(v)
 
 		case isa.FSTORE:
-			addr := m.effAddr(&ins.Dst.Mem)
-			if err := m.store(addr, math.Float64bits(c.F[ins.Src.Reg]), 8); err != nil {
+			addr := m.effAddr(x)
+			if err := m.store(addr, math.Float64bits(c.F[x.src]), 8); err != nil {
 				return m.fault(err)
 			}
 			m.chargeMem(addr, 8, true)
-			m.noteStore(addr, 8, math.Float64bits(c.F[ins.Src.Reg]))
+			m.noteStore(addr, 8, math.Float64bits(c.F[x.src]))
 
 		case isa.CVTIF:
-			c.F[ins.Dst.Reg] = float64(int64(c.R[ins.Src.Reg]))
+			c.F[x.dst] = float64(int64(c.R[x.src]))
 
 		case isa.CVTFI:
-			c.R[ins.Dst.Reg] = uint64(int64(c.F[ins.Src.Reg]))
+			c.R[x.dst] = uint64(int64(c.F[x.src]))
 
 		case isa.FMOVFI:
-			c.R[ins.Dst.Reg] = math.Float64bits(c.F[ins.Src.Reg])
+			c.R[x.dst] = math.Float64bits(c.F[x.src])
 
 		case isa.FMOVIF:
-			c.F[ins.Dst.Reg] = math.Float64frombits(c.R[ins.Src.Reg])
+			c.F[x.dst] = math.Float64frombits(c.R[x.src])
 
 		case isa.VLOAD:
-			addr := m.effAddr(&ins.Src.Mem)
+			addr := m.effAddr(x)
 			for i := 0; i < isa.VecLanes; i++ {
 				v, err := m.load(addr+uint64(8*i), 8)
 				if err != nil {
 					return m.fault(err)
 				}
-				c.V[ins.Dst.Reg][i] = math.Float64frombits(v)
+				c.V[x.dst][i] = math.Float64frombits(v)
 			}
 			m.chargeMem(addr, 8*isa.VecLanes, false)
 
 		case isa.VSTORE:
-			addr := m.effAddr(&ins.Dst.Mem)
+			addr := m.effAddr(x)
 			for i := 0; i < isa.VecLanes; i++ {
-				v := math.Float64bits(c.V[ins.Src.Reg][i])
+				v := math.Float64bits(c.V[x.src][i])
 				if err := m.store(addr+uint64(8*i), v, 8); err != nil {
 					return m.fault(err)
 				}
@@ -474,31 +489,36 @@ func (m *Machine) exec(n int64) error {
 
 		case isa.VADD, isa.VSUB, isa.VMUL:
 			for i := 0; i < isa.VecLanes; i++ {
-				a, b := c.V[ins.Dst.Reg][i], c.V[ins.Src.Reg][i]
-				switch ins.Op {
+				a, b := c.V[x.dst][i], c.V[x.src][i]
+				switch x.op {
 				case isa.VADD:
-					c.V[ins.Dst.Reg][i] = a + b
+					c.V[x.dst][i] = a + b
 				case isa.VSUB:
-					c.V[ins.Dst.Reg][i] = a - b
+					c.V[x.dst][i] = a - b
 				case isa.VMUL:
-					c.V[ins.Dst.Reg][i] = a * b
+					c.V[x.dst][i] = a * b
 				}
 			}
 
 		case isa.VBCAST:
 			for i := 0; i < isa.VecLanes; i++ {
-				c.V[ins.Dst.Reg][i] = c.F[ins.Src.Reg]
+				c.V[x.dst][i] = c.F[x.src]
 			}
 
 		case isa.VHADD:
 			s := 0.0
 			for i := 0; i < isa.VecLanes; i++ {
-				s += c.V[ins.Src.Reg][i]
+				s += c.V[x.src][i]
 			}
-			c.F[ins.Dst.Reg] = s
+			c.F[x.dst] = s
 
 		default:
-			return m.fault(fmt.Errorf("unimplemented opcode %s (%v)", ins.Op, *ins))
+			// Unreachable while every valid opcode has a case. The fault
+			// names the instruction as isa renders it, re-decoded from the
+			// bytes the record was made from, so neither call can fail.
+			b, _ := m.Mem.FetchSlice(pc)
+			ins, _ := isa.Decode(b, pc)
+			return m.fault(fmt.Errorf("unimplemented opcode %s (%v)", x.op, ins))
 		}
 
 		c.PC = next
