@@ -106,7 +106,7 @@ func benchX1(b *testing.B, opts brew.FuncOpts) {
 			SetParam(2, brew.ParamKnown).
 			SetParamPtrToKnown(3, stencil.StructSSize)
 		cfg.SetFuncOpts(w.Apply, opts)
-		res, err := brew.Rewrite(w.M, cfg, w.Apply, []uint64{0, uint64(w.XS), w.S5}, nil)
+		res, err := brew.Do(w.M, &brew.Request{Config: cfg, Fn: w.Apply, Args: []uint64{0, uint64(w.XS), w.S5}})
 		if err != nil {
 			return nil, err
 		}
@@ -159,7 +159,7 @@ func benchX2(b *testing.B, rewrite, noInline bool) {
 			cfg.SetFuncOpts(mid, brew.FuncOpts{NoInline: true})
 			cfg.SetFuncOpts(leaf, brew.FuncOpts{NoInline: true})
 		}
-		res, err := brew.Rewrite(m, cfg, fn, nil, nil)
+		res, err := brew.Do(m, &brew.Request{Config: cfg, Fn: fn})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -201,7 +201,7 @@ long f(long n) {
 		cfg := brew.NewConfig()
 		cfg.MaxVariantsPerAddr = threshold
 		cfg.SetFuncOpts(fn, brew.FuncOpts{BranchesUnknown: true})
-		if _, err := brew.Rewrite(m, cfg, fn, nil, nil); err != nil {
+		if _, err := brew.Do(m, &brew.Request{Config: cfg, Fn: fn}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -225,8 +225,8 @@ long poly(long x, long k) {
 		b.Fatal(err)
 	}
 	poly, _ := l.FuncAddr("poly")
-	g, err := brew.RewriteGuarded(m, brew.NewConfig(), poly,
-		[]brew.ParamGuard{{Param: 2, Value: 12}}, nil, nil)
+	g, err := brew.Do(m, &brew.Request{Config: brew.NewConfig(), Fn: poly,
+		Guards: []brew.ParamGuard{{Param: 2, Value: 12}}})
 	if err != nil {
 		b.Fatal(err)
 	}

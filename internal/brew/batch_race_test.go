@@ -1,6 +1,7 @@
 package brew_test
 
 import (
+	"sync"
 	"testing"
 
 	"repro/internal/brew"
@@ -9,10 +10,10 @@ import (
 )
 
 // TestRewriteBatchSameFunction hammers the concurrency contract from the
-// worst angle: many simultaneous rewrites of the *same* function. Every
+// worst angle: many simultaneous Do calls on the *same* function. Every
 // tracer reads the same code bytes and every completion races into
 // InstallJIT and the icache invalidation on the shared machine. Run under
-// -race this exercises the serialization that RewriteBatch documents;
+// -race this exercises the install serialization Do relies on;
 // functionally it checks that no variant's code was corrupted by a
 // concurrent installation.
 func TestRewriteBatchSameFunction(t *testing.T) {
@@ -36,15 +37,22 @@ long walk(long n, long s) {
 	}
 
 	const variants = 16
-	reqs := make([]brew.BatchRequest, variants)
-	for i := range reqs {
+	results := make([]*brew.Outcome, variants)
+	errs := make([]error, variants)
+	var wg sync.WaitGroup
+	for i := range results {
 		cfg := brew.NewConfig().SetParam(1, brew.ParamKnown)
 		if i%2 == 1 {
 			cfg.SetParam(2, brew.ParamKnown)
 		}
-		reqs[i] = brew.BatchRequest{Cfg: cfg, Fn: fn, Args: []uint64{uint64(i), uint64(100 + i)}}
+		req := &brew.Request{Config: cfg, Fn: fn, Args: []uint64{uint64(i), uint64(100 + i)}}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i], errs[i] = brew.Do(m, req)
+		}()
 	}
-	results, errs := brew.RewriteBatch(m, reqs)
+	wg.Wait()
 	for i, rerr := range errs {
 		if rerr != nil {
 			t.Fatalf("variant %d: %v", i, rerr)
@@ -63,9 +71,9 @@ long walk(long n, long s) {
 	}
 }
 
-// TestRewriteBatchPositionalErrors checks the batch failure model: one
-// failed request must leave the other requests' results intact and land its
-// error at its own position.
+// TestRewriteBatchPositionalErrors checks the per-request failure model
+// under concurrency: one failed Do must leave the concurrent requests'
+// results intact and report its error to its own caller only.
 func TestRewriteBatchPositionalErrors(t *testing.T) {
 	m := vm.MustNew()
 	l, err := minc.CompileAndLink(m, `
@@ -75,12 +83,22 @@ long id(long x) { return x; }
 		t.Fatal(err)
 	}
 	fn, _ := l.FuncAddr("id")
-	reqs := []brew.BatchRequest{
-		{Cfg: brew.NewConfig(), Fn: fn},
-		{Cfg: brew.NewConfig(), Fn: 0xdead}, // not executable: must fail alone
-		{Cfg: brew.NewConfig().SetParam(1, brew.ParamKnown), Fn: fn, Args: []uint64{7}},
+	reqs := []*brew.Request{
+		{Config: brew.NewConfig(), Fn: fn},
+		{Config: brew.NewConfig(), Fn: 0xdead}, // not executable: must fail alone
+		{Config: brew.NewConfig().SetParam(1, brew.ParamKnown), Fn: fn, Args: []uint64{7}},
 	}
-	results, errs := brew.RewriteBatch(m, reqs)
+	results := make([]*brew.Outcome, len(reqs))
+	errs := make([]error, len(reqs))
+	var wg sync.WaitGroup
+	for i, req := range reqs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i], errs[i] = brew.Do(m, req)
+		}()
+	}
+	wg.Wait()
 	if errs[0] != nil || results[0] == nil {
 		t.Errorf("request 0 should succeed: %v", errs[0])
 	}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/asm"
@@ -27,11 +28,11 @@ func load(t *testing.T, src string) (*vm.Machine, *asm.Image) {
 
 func mustRewrite(t *testing.T, m *vm.Machine, cfg *brew.Config, fn uint64, args []uint64, fargs []float64) *brew.Result {
 	t.Helper()
-	res, err := brew.Rewrite(m, cfg, fn, args, fargs)
+	out, err := brew.Do(m, &brew.Request{Config: cfg, Fn: fn, Args: args, FArgs: fargs})
 	if err != nil {
-		t.Fatalf("Rewrite: %v", err)
+		t.Fatalf("Do: %v", err)
 	}
-	return res
+	return out.Result
 }
 
 func TestSpecializeAddBothKnown(t *testing.T) {
@@ -426,7 +427,7 @@ func TestIndirectJumpFails(t *testing.T) {
 f:
     jmpr r1
 `)
-	_, err := brew.Rewrite(m, brew.NewConfig(), im.MustEntry("f"), nil, nil)
+	_, err := brew.Do(m, &brew.Request{Config: brew.NewConfig(), Fn: im.MustEntry("f")})
 	if !errors.Is(err, brew.ErrIndirectJump) {
 		t.Errorf("err = %v, want ErrIndirectJump", err)
 	}
@@ -499,7 +500,7 @@ base:
 `)
 	cfg := brew.NewConfig()
 	cfg.MaxInlineDepth = 8
-	_, err := brew.Rewrite(m, cfg, im.MustEntry("fib"), nil, nil)
+	_, err := brew.Do(m, &brew.Request{Config: cfg, Fn: im.MustEntry("fib")})
 	if !errors.Is(err, brew.ErrInlineDepth) {
 		t.Errorf("err = %v, want ErrInlineDepth", err)
 	}
@@ -539,11 +540,11 @@ base:
 func TestBadConfigRejected(t *testing.T) {
 	m := vm.MustNew()
 	var zero brew.Config
-	if _, err := brew.Rewrite(m, &zero, 0x1000, nil, nil); !errors.Is(err, brew.ErrBadConfig) {
+	if _, err := brew.Do(m, &brew.Request{Config: &zero, Fn: 0x1000}); !errors.Is(err, brew.ErrBadConfig) {
 		t.Errorf("zero config: %v", err)
 	}
 	cfg := brew.NewConfig().SetParam(1, brew.ParamKnown)
-	if _, err := brew.Rewrite(m, cfg, 0x1000, nil, nil); !errors.Is(err, brew.ErrBadConfig) {
+	if _, err := brew.Do(m, &brew.Request{Config: cfg, Fn: 0x1000}); !errors.Is(err, brew.ErrBadConfig) {
 		t.Errorf("missing arg: %v", err)
 	}
 }
@@ -554,7 +555,7 @@ func TestUndecodableCodeFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := brew.Rewrite(m, brew.NewConfig(), addr, nil, nil); !errors.Is(err, brew.ErrBadCode) {
+	if _, err := brew.Do(m, &brew.Request{Config: brew.NewConfig(), Fn: addr}); !errors.Is(err, brew.ErrBadCode) {
 		t.Errorf("err = %v, want ErrBadCode", err)
 	}
 }
@@ -572,7 +573,7 @@ a:
 `)
 	cfg := brew.NewConfig()
 	cfg.MaxBlocks = 1
-	_, err := brew.Rewrite(m, cfg, im.MustEntry("f"), nil, nil)
+	_, err := brew.Do(m, &brew.Request{Config: cfg, Fn: im.MustEntry("f")})
 	if !errors.Is(err, brew.ErrTooManyBlocks) {
 		t.Errorf("err = %v, want ErrTooManyBlocks", err)
 	}
@@ -586,7 +587,7 @@ g:
     movi r0, 5
     ret
 `)
-	if _, err := brew.Rewrite(m, brew.NewConfig(), im.MustEntry("f"), nil, nil); err == nil {
+	if _, err := brew.Do(m, &brew.Request{Config: brew.NewConfig(), Fn: im.MustEntry("f")}); err == nil {
 		t.Fatal("expected failure")
 	}
 	// The original and unrelated functions still run.
@@ -758,12 +759,12 @@ f:
 	fn := im.MustEntry("f")
 	for _, d := range []uint64{1, 2, 8, 1024} {
 		cfg := brew.NewConfig().SetParam(2, brew.ParamKnown)
-		res, err := brew.Rewrite(m, cfg, fn, []uint64{0, d}, nil)
+		res, err := brew.Do(m, &brew.Request{Config: cfg, Fn: fn, Args: []uint64{0, d}})
 		if err != nil {
 			t.Fatalf("d=%d: %v", d, err)
 		}
-		if d > 1 && strings.Contains(res.Listing(), "idiv") {
-			t.Errorf("d=%d: idiv not strength-reduced:\n%s", d, res.Listing())
+		if d > 1 && strings.Contains(res.Result.Listing(), "idiv") {
+			t.Errorf("d=%d: idiv not strength-reduced:\n%s", d, res.Result.Listing())
 		}
 		for _, x := range []int64{0, 1, -1, 5, -5, 1023, -1024, 1 << 40, -(1 << 40), 7777777, -7777777} {
 			want, err1 := m.Call(fn, uint64(x), d)
@@ -778,7 +779,7 @@ f:
 	}
 	// Non-power-of-two keeps the idiv and stays correct.
 	cfg := brew.NewConfig().SetParam(2, brew.ParamKnown)
-	res, err := brew.Rewrite(m, cfg, fn, []uint64{0, 6}, nil)
+	res, err := brew.Do(m, &brew.Request{Config: cfg, Fn: fn, Args: []uint64{0, 6}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -803,19 +804,19 @@ f:
 
 	// Stage 1: fix parameter 2.
 	cfg1 := brew.NewConfig().SetParam(2, brew.ParamKnown)
-	r1, err := brew.Rewrite(m, cfg1, fn, []uint64{0, 6, 0}, nil)
+	r1, err := brew.Do(m, &brew.Request{Config: cfg1, Fn: fn, Args: []uint64{0, 6, 0}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Stage 2: rewrite the rewritten code, fixing parameter 1 too.
 	cfg2 := brew.NewConfig().SetParam(1, brew.ParamKnown)
-	r2, err := brew.Rewrite(m, cfg2, r1.Addr, []uint64{7}, nil)
+	r2, err := brew.Do(m, &brew.Request{Config: cfg2, Fn: r1.Addr, Args: []uint64{7}})
 	if err != nil {
 		t.Fatalf("second-stage rewrite: %v", err)
 	}
 	// Stage 3: all parameters fixed; the result must be fully evaluated.
 	cfg3 := brew.NewConfig().SetParam(3, brew.ParamKnown)
-	r3, err := brew.Rewrite(m, cfg3, r2.Addr, []uint64{0, 0, 8}, nil)
+	r3, err := brew.Do(m, &brew.Request{Config: cfg3, Fn: r2.Addr, Args: []uint64{0, 0, 8}})
 	if err != nil {
 		t.Fatalf("third-stage rewrite: %v", err)
 	}
@@ -823,8 +824,8 @@ f:
 	if err != nil || got != 50 {
 		t.Fatalf("composed rewrite = %d, %v; want 50", got, err)
 	}
-	if !strings.Contains(r3.Listing(), "movi r0, 50") {
-		t.Errorf("final stage not fully evaluated:\n%s", r3.Listing())
+	if !strings.Contains(r3.Result.Listing(), "movi r0, 50") {
+		t.Errorf("final stage not fully evaluated:\n%s", r3.Result.Listing())
 	}
 	// Every stage stays usable.
 	for _, stage := range []uint64{fn, r1.Addr, r2.Addr} {
@@ -895,7 +896,7 @@ loop:
 `)
 	cfg := brew.NewConfig()
 	cfg.MaxTracedInstrs = 10000
-	_, err := brew.Rewrite(m, cfg, im.MustEntry("f"), nil, nil)
+	_, err := brew.Do(m, &brew.Request{Config: cfg, Fn: im.MustEntry("f")})
 	if !errors.Is(err, brew.ErrTraceTooLong) {
 		t.Errorf("err = %v, want ErrTraceTooLong", err)
 	}
@@ -918,7 +919,7 @@ d: .quad 5
 `)
 	cfg := brew.NewConfig().SetParam(1, brew.ParamKnown)
 	cfg.MaxCodeBytes = 512
-	_, err := brew.Rewrite(m, cfg, im.MustEntry("f"), []uint64{0}, nil)
+	_, err := brew.Do(m, &brew.Request{Config: cfg, Fn: im.MustEntry("f"), Args: []uint64{0}})
 	if !errors.Is(err, brew.ErrCodeBufferFull) {
 		t.Errorf("err = %v, want ErrCodeBufferFull", err)
 	}
@@ -930,7 +931,7 @@ f:
     subi sp, 8
     ret
 `)
-	_, err := brew.Rewrite(m, brew.NewConfig(), im.MustEntry("f"), nil, nil)
+	_, err := brew.Do(m, &brew.Request{Config: brew.NewConfig(), Fn: im.MustEntry("f")})
 	if !errors.Is(err, brew.ErrUnsupported) {
 		t.Errorf("err = %v, want ErrUnsupported", err)
 	}
@@ -949,7 +950,7 @@ f:
     ret
 `)
 	fn := im.MustEntry("f")
-	res, err := brew.Rewrite(m, brew.NewConfig(), fn, nil, nil)
+	res, err := brew.Do(m, &brew.Request{Config: brew.NewConfig(), Fn: fn})
 	if err != nil {
 		// A rewrite failure is acceptable here (flags after POPF are
 		// conservatively dirty); the original must still work.
@@ -1007,7 +1008,7 @@ func TestFloatFuzzEquivalence(t *testing.T) {
 			cfg.SetFloatParam(1, brew.ParamKnown)
 			fixed = []float64{float64(r.Intn(16)) * 0.5}
 		}
-		res, err := brew.Rewrite(m, cfg, fn, nil, fixed)
+		res, err := brew.Do(m, &brew.Request{Config: cfg, Fn: fn, FArgs: fixed})
 		if err != nil {
 			t.Fatalf("seed %d: %v\n%s", seed, err, sb.String())
 		}
@@ -1024,7 +1025,7 @@ func TestFloatFuzzEquivalence(t *testing.T) {
 			}
 			if want != got && !(math.IsNaN(want) && math.IsNaN(got)) {
 				t.Fatalf("seed %d: original %g, rewritten %g\n%s\n%s",
-					seed, want, got, sb.String(), res.Listing())
+					seed, want, got, sb.String(), res.Result.Listing())
 			}
 		}
 	}
@@ -1054,16 +1055,26 @@ double scale(double *v, long n, double f) {
 	mix, _ := l.FuncAddr("mix")
 	scale, _ := l.FuncAddr("scale")
 
-	var reqs []brew.BatchRequest
+	var reqs []*brew.Request
 	for k := uint64(1); k <= 6; k++ {
 		cfg := brew.NewConfig().SetParam(2, brew.ParamKnown)
-		reqs = append(reqs, brew.BatchRequest{Cfg: cfg, Fn: poly, Args: []uint64{0, k}})
+		reqs = append(reqs, &brew.Request{Config: cfg, Fn: poly, Args: []uint64{0, k}})
 	}
-	reqs = append(reqs, brew.BatchRequest{Cfg: brew.NewConfig().SetParam(1, brew.ParamKnown), Fn: mix, Args: []uint64{42}})
+	reqs = append(reqs, &brew.Request{Config: brew.NewConfig().SetParam(1, brew.ParamKnown), Fn: mix, Args: []uint64{42}})
 	cfgS := brew.NewConfig().SetParam(2, brew.ParamKnown)
-	reqs = append(reqs, brew.BatchRequest{Cfg: cfgS, Fn: scale, Args: []uint64{0, 4}})
+	reqs = append(reqs, &brew.Request{Config: cfgS, Fn: scale, Args: []uint64{0, 4}})
 
-	results, errs := brew.RewriteBatch(m, reqs)
+	results := make([]*brew.Outcome, len(reqs))
+	errs := make([]error, len(reqs))
+	var wg sync.WaitGroup
+	for i, req := range reqs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i], errs[i] = brew.Do(m, req)
+		}()
+	}
+	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("request %d: %v", i, err)

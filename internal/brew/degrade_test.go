@@ -37,7 +37,7 @@ func TestCodeBufferFullNoLeak(t *testing.T) {
 	m.JITAlloc = mem.NewAllocator(vm.JITBase, 8, 8)
 	free0 := m.JITAlloc.FreeBytes()
 
-	_, err := brew.Rewrite(m, brew.NewConfig(), fn, nil, nil)
+	_, err := brew.Do(m, &brew.Request{Config: brew.NewConfig(), Fn: fn})
 	if !errors.Is(err, brew.ErrCodeBufferFull) {
 		t.Fatalf("Rewrite under 8-byte buffer: %v, want ErrCodeBufferFull", err)
 	}
@@ -51,29 +51,28 @@ func TestCodeBufferFullNoLeak(t *testing.T) {
 
 // TestGuardedDispatcherNoSpaceFreesBody sizes the code buffer so the
 // specialized body fits exactly and the dispatcher allocation must fail:
-// RewriteGuarded has to give the body back (regression: it leaked).
+// a guarded Do has to give the body back (regression: it leaked).
 func TestGuardedDispatcherNoSpaceFreesBody(t *testing.T) {
 	m, im := load(t, add2Src)
 	fn := im.MustEntry("add2")
 
-	// Probe the body size with the same parameter setting RewriteGuarded
-	// will construct for the guard below.
-	probe, err := brew.Rewrite(m,
-		brew.NewConfig().SetParam(2, brew.ParamKnown), fn, []uint64{0, 5}, nil)
+	// Probe the body size with the same parameter setting a guarded Do
+	// constructs for the guard below.
+	probe, err := brew.Do(m, &brew.Request{Config: brew.NewConfig().SetParam(2, brew.ParamKnown), Fn: fn, Args: []uint64{0, 5}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := m.FreeJIT(probe.Addr); err != nil {
 		t.Fatal(err)
 	}
-	bodySize := (uint64(probe.CodeSize) + 15) &^ 15
+	bodySize := (uint64(probe.Result.CodeSize) + 15) &^ 15
 
 	m.JITAlloc = mem.NewAllocator(vm.JITBase, bodySize, 16)
 	free0 := m.JITAlloc.FreeBytes()
-	g, err := brew.RewriteGuarded(m, brew.NewConfig(), fn,
-		[]brew.ParamGuard{{Param: 2, Value: 5}}, []uint64{0, 0}, nil)
-	if g != nil || !errors.Is(err, brew.ErrCodeBufferFull) {
-		t.Fatalf("RewriteGuarded = %v, %v; want nil, ErrCodeBufferFull", g, err)
+	out, err := brew.Do(m, &brew.Request{Config: brew.NewConfig(), Fn: fn,
+		Guards: []brew.ParamGuard{{Param: 2, Value: 5}}, Args: []uint64{0, 0}})
+	if out != nil || !errors.Is(err, brew.ErrCodeBufferFull) {
+		t.Fatalf("guarded Do = %v, %v; want nil, ErrCodeBufferFull", out, err)
 	}
 	if got := m.JITAlloc.FreeBytes(); got != free0 {
 		t.Errorf("specialized body leaked: %d free, was %d", got, free0)
@@ -95,10 +94,10 @@ func TestGuardedInjectedDispatchFaultFreesBody(t *testing.T) {
 		}
 		return nil
 	}
-	g, err := brew.RewriteGuarded(m, cfg, fn,
-		[]brew.ParamGuard{{Param: 2, Value: 5}}, []uint64{0, 0}, nil)
-	if g != nil || !errors.Is(err, boom) {
-		t.Fatalf("RewriteGuarded = %v, %v; want nil, injected fault", g, err)
+	out, err := brew.Do(m, &brew.Request{Config: cfg, Fn: fn,
+		Guards: []brew.ParamGuard{{Param: 2, Value: 5}}, Args: []uint64{0, 0}})
+	if out != nil || !errors.Is(err, boom) {
+		t.Fatalf("guarded Do = %v, %v; want nil, injected fault", out, err)
 	}
 	if got := m.JITAlloc.FreeBytes(); got != free0 {
 		t.Errorf("specialized body leaked: %d free, was %d", got, free0)
@@ -114,44 +113,40 @@ func TestBadConfigVariants(t *testing.T) {
 		call func() error
 	}{
 		{"zero-value config", func() error {
-			_, err := brew.Rewrite(m, &brew.Config{}, fn, nil, nil)
+			_, err := brew.Do(m, &brew.Request{Config: &brew.Config{}, Fn: fn})
 			return err
 		}},
 		{"negative budget instrs", func() error {
 			cfg := brew.NewConfig()
 			cfg.Budget = &brew.Budget{MaxTracedInstrs: -1}
-			_, err := brew.Rewrite(m, cfg, fn, nil, nil)
+			_, err := brew.Do(m, &brew.Request{Config: cfg, Fn: fn})
 			return err
 		}},
 		{"negative budget bytes", func() error {
 			cfg := brew.NewConfig()
 			cfg.Budget = &brew.Budget{MaxEmittedBytes: -1}
-			_, err := brew.Rewrite(m, cfg, fn, nil, nil)
+			_, err := brew.Do(m, &brew.Request{Config: cfg, Fn: fn})
 			return err
 		}},
 		{"negative budget deadline", func() error {
 			cfg := brew.NewConfig()
 			cfg.Budget = &brew.Budget{Deadline: -time.Second}
-			_, err := brew.Rewrite(m, cfg, fn, nil, nil)
+			_, err := brew.Do(m, &brew.Request{Config: cfg, Fn: fn})
 			return err
 		}},
 		{"known param without argument", func() error {
 			cfg := brew.NewConfig().SetParam(1, brew.ParamKnown)
-			_, err := brew.Rewrite(m, cfg, fn, nil, nil)
-			return err
-		}},
-		{"guarded without guards", func() error {
-			_, err := brew.RewriteGuarded(m, brew.NewConfig(), fn, nil, nil, nil)
+			_, err := brew.Do(m, &brew.Request{Config: cfg, Fn: fn})
 			return err
 		}},
 		{"guard on parameter 0", func() error {
-			_, err := brew.RewriteGuarded(m, brew.NewConfig(), fn,
-				[]brew.ParamGuard{{Param: 0, Value: 1}}, nil, nil)
+			_, err := brew.Do(m, &brew.Request{Config: brew.NewConfig(), Fn: fn,
+				Guards: []brew.ParamGuard{{Param: 0, Value: 1}}})
 			return err
 		}},
 		{"guard out of ABI range", func() error {
-			_, err := brew.RewriteGuarded(m, brew.NewConfig(), fn,
-				[]brew.ParamGuard{{Param: 99, Value: 1}}, nil, nil)
+			_, err := brew.Do(m, &brew.Request{Config: brew.NewConfig(), Fn: fn,
+				Guards: []brew.ParamGuard{{Param: 99, Value: 1}}})
 			return err
 		}},
 	}
@@ -171,7 +166,7 @@ func TestBudgetTraceExhaustion(t *testing.T) {
 	cfg.Budget = &brew.Budget{MaxTracedInstrs: 100}
 	// Unrolling 100k iterations would trace ~300k instructions; the budget
 	// stops it after 100.
-	_, err := brew.Rewrite(m, cfg, fn, []uint64{100_000}, nil)
+	_, err := brew.Do(m, &brew.Request{Config: cfg, Fn: fn, Args: []uint64{100_000}})
 	if !errors.Is(err, brew.ErrTraceTooLong) {
 		t.Fatalf("Rewrite = %v, want ErrTraceTooLong", err)
 	}
@@ -181,7 +176,7 @@ func TestBudgetTraceExhaustion(t *testing.T) {
 	// Without the budget the same rewrite succeeds: the budget tightened,
 	// not replaced, the structural limit.
 	cfg.Budget = nil
-	if _, err := brew.Rewrite(m, cfg, fn, []uint64{100_000}, nil); err != nil {
+	if _, err := brew.Do(m, &brew.Request{Config: cfg, Fn: fn, Args: []uint64{100_000}}); err != nil {
 		t.Fatalf("unbudgeted Rewrite = %v", err)
 	}
 }
@@ -191,7 +186,7 @@ func TestBudgetDeadline(t *testing.T) {
 	fn := im.MustEntry("sum")
 	cfg := brew.NewConfig().SetParam(1, brew.ParamKnown)
 	cfg.Budget = &brew.Budget{Deadline: time.Nanosecond}
-	_, err := brew.Rewrite(m, cfg, fn, []uint64{100_000}, nil)
+	_, err := brew.Do(m, &brew.Request{Config: cfg, Fn: fn, Args: []uint64{100_000}})
 	if !errors.Is(err, brew.ErrDeadline) {
 		t.Fatalf("Rewrite = %v, want ErrDeadline", err)
 	}
@@ -205,7 +200,7 @@ func TestBudgetEmittedBytes(t *testing.T) {
 	fn := im.MustEntry("sum")
 	cfg := brew.NewConfig()
 	cfg.Budget = &brew.Budget{MaxEmittedBytes: 4}
-	_, err := brew.Rewrite(m, cfg, fn, nil, nil)
+	_, err := brew.Do(m, &brew.Request{Config: cfg, Fn: fn})
 	if !errors.Is(err, brew.ErrCodeBufferFull) {
 		t.Fatalf("Rewrite = %v, want ErrCodeBufferFull", err)
 	}
@@ -227,14 +222,14 @@ func TestInjectedFaultsAtEverySite(t *testing.T) {
 			}
 			return nil
 		}
-		if _, err := brew.Rewrite(m, cfg, fn, nil, nil); !errors.Is(err, boom) {
+		if _, err := brew.Do(m, &brew.Request{Config: cfg, Fn: fn}); !errors.Is(err, boom) {
 			t.Errorf("site %s: Rewrite = %v, want injected fault", site, err)
 		}
 	}
 
 	cfg := brew.NewConfig()
 	cfg.Inject = func(string) error { panic("injected panic") }
-	_, err := brew.Rewrite(m, cfg, fn, nil, nil)
+	_, err := brew.Do(m, &brew.Request{Config: cfg, Fn: fn})
 	if !errors.Is(err, brew.ErrRewritePanic) {
 		t.Fatalf("panicking hook: Rewrite = %v, want ErrRewritePanic", err)
 	}
@@ -243,20 +238,22 @@ func TestInjectedFaultsAtEverySite(t *testing.T) {
 	}
 }
 
-// TestRewriteOrDegrade checks the never-fails contract: on failure the
-// result addresses the original function and stays correct to call.
+// TestRewriteOrDegrade checks ModeDegrade's never-fails contract: on
+// failure the outcome addresses the original function and stays correct
+// to call.
 func TestRewriteOrDegrade(t *testing.T) {
 	m, im := load(t, sumSrc)
 	fn := im.MustEntry("sum")
 
 	cfg := brew.NewConfig().SetParam(1, brew.ParamKnown)
 	cfg.Budget = &brew.Budget{MaxTracedInstrs: 10}
-	res, err := brew.RewriteOrDegrade(m, cfg, fn, []uint64{1000}, nil)
+	req := &brew.Request{Config: cfg, Fn: fn, Args: []uint64{1000}, Mode: brew.ModeDegrade}
+	res, err := brew.Do(m, req)
 	if !errors.Is(err, brew.ErrDegraded) || !errors.Is(err, brew.ErrTraceTooLong) {
 		t.Fatalf("err = %v, want ErrDegraded wrapping ErrTraceTooLong", err)
 	}
-	if res == nil || !res.Degraded || res.Addr != fn {
-		t.Fatalf("res = %+v, want degraded result at original entry", res)
+	if res == nil || !res.Degraded || !res.Result.Degraded || res.Addr != fn {
+		t.Fatalf("res = %+v, want degraded outcome at original entry", res)
 	}
 	got, err := m.Call(res.Addr, 10)
 	if err != nil || got != 55 {
@@ -265,9 +262,10 @@ func TestRewriteOrDegrade(t *testing.T) {
 
 	// Success path is a passthrough.
 	cfg.Budget = nil
-	res, err = brew.RewriteOrDegrade(m, cfg, fn, []uint64{10}, nil)
+	req.Args = []uint64{10}
+	res, err = brew.Do(m, req)
 	if err != nil || res.Degraded {
-		t.Fatalf("RewriteOrDegrade success = %+v, %v", res, err)
+		t.Fatalf("degrade-mode success = %+v, %v", res, err)
 	}
 	if got, err := m.Call(res.Addr, 10); err != nil || got != 55 {
 		t.Fatalf("specialized call = %d, %v; want 55", got, err)
@@ -280,11 +278,12 @@ func TestRewriteOrDegrade(t *testing.T) {
 func TestGuardCountersUnconditional(t *testing.T) {
 	m, im := load(t, add2Src)
 	fn := im.MustEntry("add2")
-	g, err := brew.RewriteGuarded(m, brew.NewConfig(), fn,
-		[]brew.ParamGuard{{Param: 2, Value: 5}}, []uint64{0, 0}, nil)
+	out, err := brew.Do(m, &brew.Request{Config: brew.NewConfig(), Fn: fn,
+		Guards: []brew.ParamGuard{{Param: 2, Value: 5}}, Args: []uint64{0, 0}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	g := out.Guarded
 	call := func(a, b, want uint64) {
 		t.Helper()
 		got, err := g.Call(m, a, b)

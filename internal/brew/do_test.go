@@ -7,7 +7,7 @@ import (
 	"repro/internal/brew"
 )
 
-// TestDoPlain: the unified entry point covers the legacy Rewrite contract.
+// TestDoPlain: a plain request returns the specialized body as Result.
 func TestDoPlain(t *testing.T) {
 	m, im := load(t, `
 add2:
@@ -33,9 +33,8 @@ add2:
 	}
 }
 
-// TestDoGuarded: Request.Guards produces a dispatcher, and — unlike the
-// legacy RewriteGuarded — the caller's Config is left untouched (Do clones
-// before the ParamKnown augmentation).
+// TestDoGuarded: Request.Guards produces a dispatcher, and the caller's
+// Config is left untouched (Do clones before the ParamKnown augmentation).
 func TestDoGuarded(t *testing.T) {
 	m, im := load(t, `
 scale:

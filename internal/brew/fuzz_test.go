@@ -117,7 +117,7 @@ func TestFuzzEquivalence(t *testing.T) {
 				cfg.SetParam(p+1, brew.ParamKnown)
 			}
 		}
-		res, err := brew.Rewrite(m, cfg, fn, fixed, nil)
+		res, err := brew.Do(m, &brew.Request{Config: cfg, Fn: fn, Args: fixed})
 		if err != nil {
 			t.Fatalf("seed %d: rewrite: %v\n%s", seed, err, src)
 		}
@@ -138,7 +138,7 @@ func TestFuzzEquivalence(t *testing.T) {
 			}
 			if got != want {
 				t.Fatalf("seed %d trial %d: original %d, rewritten %d\nargs=%v known=%v\n%s\nlisting:\n%s",
-					seed, trial, want, got, args, known, src, res.Listing())
+					seed, trial, want, got, args, known, src, res.Result.Listing())
 			}
 		}
 	}
@@ -171,7 +171,7 @@ func TestFuzzEquivalenceUnrollModes(t *testing.T) {
 			cfg.SetParam(1, brew.ParamKnown)
 			fixed = []uint64{r.Uint64() >> 40}
 		}
-		res, err := brew.Rewrite(m, cfg, fn, fixed, nil)
+		res, err := brew.Do(m, &brew.Request{Config: cfg, Fn: fn, Args: fixed})
 		if err != nil {
 			t.Fatalf("seed %d: rewrite: %v\n%s", seed, err, src)
 		}
@@ -190,7 +190,7 @@ func TestFuzzEquivalenceUnrollModes(t *testing.T) {
 			}
 			if got != want {
 				t.Fatalf("seed %d trial %d: original %d, rewritten %d\n%s\nlisting:\n%s",
-					seed, trial, want, got, src, res.Listing())
+					seed, trial, want, got, src, res.Result.Listing())
 			}
 		}
 	}
@@ -259,7 +259,7 @@ func TestFuzzMemoryEquivalence(t *testing.T) {
 			cfg.SetParamPtrToKnown(1, bufWords*8)
 		}
 		reset()
-		res, err := brew.Rewrite(m, cfg, fn, []uint64{buf}, nil)
+		res, err := brew.Do(m, &brew.Request{Config: cfg, Fn: fn, Args: []uint64{buf}})
 		if err != nil {
 			t.Fatalf("seed %d: %v\n%s", seed, err, src)
 		}
@@ -285,11 +285,11 @@ func TestFuzzMemoryEquivalence(t *testing.T) {
 				t.Fatalf("seed %d: %v / %v", seed, err1, err2)
 			}
 			if got != want {
-				t.Fatalf("seed %d: result %d != %d\n%s\n%s", seed, got, want, src, res.Listing())
+				t.Fatalf("seed %d: result %d != %d\n%s\n%s", seed, got, want, src, res.Result.Listing())
 			}
 			for i := range memWant {
 				if memWant[i] != memGot[i] {
-					t.Fatalf("seed %d: buf[%d] %g != %g\n%s\n%s", seed, i, memGot[i], memWant[i], src, res.Listing())
+					t.Fatalf("seed %d: buf[%d] %g != %g\n%s\n%s", seed, i, memGot[i], memWant[i], src, res.Result.Listing())
 				}
 			}
 		}

@@ -90,7 +90,7 @@ long f(long a) {
 	cfg := brew.NewConfig()
 	cfg.EntryHandler = rt.MustEntry("entry_handler")
 	cfg.ExitHandler = rt.MustEntry("exit_handler")
-	res, err := brew.Rewrite(m, cfg, fn, nil, nil)
+	res, err := brew.Do(m, &brew.Request{Config: cfg, Fn: fn})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ double sum3(double *a) {
 	}
 	cfg := brew.NewConfig()
 	cfg.LoadHandler = rt.MustEntry("load_handler")
-	res, err := brew.Rewrite(m, cfg, fn, nil, nil)
+	res, err := brew.Do(m, &brew.Request{Config: cfg, Fn: fn})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ double sum3(double *a) {
 	}
 	lc, _ := m.Mem.Read64(rt.MustEntry("load_count"))
 	if lc != 3 {
-		t.Fatalf("load handler fired %d times, want 3\n%s", lc, res.Listing())
+		t.Fatalf("load handler fired %d times, want 3\n%s", lc, res.Result.Listing())
 	}
 	// The recorded addresses are the three array elements (in order).
 	ring := rt.MustEntry("load_ring")
@@ -181,7 +181,7 @@ d: .quad 7
 	fn := im.MustEntry("f")
 	cfg := brew.NewConfig()
 	cfg.LoadHandler = rt.MustEntry("load_handler")
-	res, err := brew.Rewrite(m, cfg, fn, nil, nil)
+	res, err := brew.Do(m, &brew.Request{Config: cfg, Fn: fn})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ long fill(long *a, long n) {
 	// Only instrument data stores of the loop body; the function's own
 	// frame traffic counts too, so compare against a known bound instead
 	// of an exact count.
-	res, err := brew.Rewrite(m, cfg, fn, nil, nil)
+	res, err := brew.Do(m, &brew.Request{Config: cfg, Fn: fn})
 	if err != nil {
 		t.Fatal(err)
 	}

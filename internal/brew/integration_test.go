@@ -55,15 +55,15 @@ func TestRewriteCompiledStencilApply(t *testing.T) {
 	cfg := brew.NewConfig().
 		SetParam(2, brew.ParamKnown).
 		SetParamPtrToKnown(3, structSize)
-	res, err := brew.Rewrite(m, cfg, apply, []uint64{0, xs, s5}, nil)
+	res, err := brew.Do(m, &brew.Request{Config: cfg, Fn: apply, Args: []uint64{0, xs, s5}})
 	if err != nil {
 		t.Fatalf("Rewrite: %v\n", err)
 	}
 
 	// The specialized version must be a straight-line unrolled kernel: no
 	// branches, no loop, coefficients as immediates.
-	if strings.Contains(res.Listing(), "jcc") || strings.Contains(res.Listing(), "jlt") {
-		t.Errorf("specialized apply still branches:\n%s", res.Listing())
+	if strings.Contains(res.Result.Listing(), "jcc") || strings.Contains(res.Result.Listing(), "jlt") {
+		t.Errorf("specialized apply still branches:\n%s", res.Result.Listing())
 	}
 
 	golden := func(x, y int) float64 {
@@ -95,9 +95,9 @@ func TestRewriteCompiledStencilApply(t *testing.T) {
 	}
 	orig := count(apply)
 	spec := count(res.Addr)
-	t.Logf("apply: original %d instrs, specialized %d instrs (listing %d blocks)", orig, spec, res.Blocks)
+	t.Logf("apply: original %d instrs, specialized %d instrs (listing %d blocks)", orig, spec, res.Result.Blocks)
 	if spec*2 > orig {
-		t.Errorf("specialization too weak: %d vs %d instrs\n%s", spec, orig, res.Listing())
+		t.Errorf("specialization too weak: %d vs %d instrs\n%s", spec, orig, res.Result.Listing())
 	}
 }
 
@@ -114,7 +114,7 @@ long sumsq(long n) {
 		t.Fatal(err)
 	}
 	fn, _ := l.FuncAddr("sumsq")
-	res, err := brew.Rewrite(m, brew.NewConfig(), fn, nil, nil)
+	res, err := brew.Do(m, &brew.Request{Config: brew.NewConfig(), Fn: fn})
 	if err != nil {
 		t.Fatalf("Rewrite: %v", err)
 	}
@@ -152,7 +152,7 @@ double sum(double *a, getter_t get, long n) {
 	}
 
 	cfg := brew.NewConfig().SetParam(2, brew.ParamKnown) // getter known
-	res, err := brew.Rewrite(m, cfg, sum, []uint64{0, direct, 0}, nil)
+	res, err := brew.Do(m, &brew.Request{Config: cfg, Fn: sum, Args: []uint64{0, direct, 0}})
 	if err != nil {
 		t.Fatalf("Rewrite: %v", err)
 	}
@@ -160,8 +160,8 @@ double sum(double *a, getter_t get, long n) {
 	if err != nil || got != 36 {
 		t.Fatalf("rewritten sum = %g, %v", got, err)
 	}
-	if strings.Contains(res.Listing(), "callr") {
-		t.Errorf("indirect call should be inlined:\n%s", res.Listing())
+	if strings.Contains(res.Result.Listing(), "callr") {
+		t.Errorf("indirect call should be inlined:\n%s", res.Result.Listing())
 	}
 }
 
@@ -188,7 +188,7 @@ long f(void) {
 	}
 	fn, _ := l.FuncAddr("f")
 	cfg := brew.NewConfig().MarkDynamic(md)
-	res, err := brew.Rewrite(m, cfg, fn, nil, nil)
+	res, err := brew.Do(m, &brew.Request{Config: cfg, Fn: fn})
 	if err != nil {
 		t.Fatalf("Rewrite: %v", err)
 	}
@@ -239,7 +239,7 @@ double sweep(double *m1, double *m2, long xs, long ys, apply_t ap, struct S *s) 
 		SetParam(5, brew.ParamKnown). // apply fn ptr
 		SetParamPtrToKnown(6, 8+5*24) // stencil struct
 	cfg.SetFuncOpts(sweep, brew.FuncOpts{BranchesUnknown: true, ResultsUnknown: true})
-	res, err := brew.Rewrite(m, cfg, sweep, []uint64{0, 0, xs, 0, apply, s5}, nil)
+	res, err := brew.Do(m, &brew.Request{Config: cfg, Fn: sweep, Args: []uint64{0, 0, xs, 0, apply, s5}})
 	if err != nil {
 		t.Fatalf("Rewrite: %v", err)
 	}
@@ -253,13 +253,13 @@ double sweep(double *m1, double *m2, long xs, long ys, apply_t ap, struct S *s) 
 	}
 	got, err := m.CallFloat(res.Addr, []uint64{m1, m2, xs, ys, apply, s5}, nil)
 	if err != nil || math.Abs(got-want) > 1e-12 {
-		t.Fatalf("rewritten sweep = %g, %v; want %g\nblocks=%d", got, err, want, res.Blocks)
+		t.Fatalf("rewritten sweep = %g, %v; want %g\nblocks=%d", got, err, want, res.Result.Blocks)
 	}
 	// The indirect call must be gone; the loops must remain loops.
-	if strings.Contains(res.Listing(), "callr") {
-		t.Errorf("sweep still calls through pointer:\n%s", res.Listing())
+	if strings.Contains(res.Result.Listing(), "callr") {
+		t.Errorf("sweep still calls through pointer:\n%s", res.Result.Listing())
 	}
-	if res.CodeSize > 4096 {
-		t.Errorf("sweep appears unrolled: %d bytes of code", res.CodeSize)
+	if res.Result.CodeSize > 4096 {
+		t.Errorf("sweep appears unrolled: %d bytes of code", res.Result.CodeSize)
 	}
 }

@@ -107,11 +107,12 @@ func TestGuardedCallTelemetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := brew.RewriteGuarded(m, brew.NewConfig(), fn,
-		[]brew.ParamGuard{{Param: 2, Value: 3}}, nil, nil)
+	out, err := brew.Do(m, &brew.Request{Config: brew.NewConfig(), Fn: fn,
+		Guards: []brew.ParamGuard{{Param: 2, Value: 3}}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	g := out.Guarded
 	if !g.Matches([]uint64{5, 3}) || g.Matches([]uint64{5, 4}) || g.Matches([]uint64{5}) {
 		t.Error("Matches misjudges guard satisfaction")
 	}

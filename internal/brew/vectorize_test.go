@@ -50,12 +50,12 @@ func TestVectorizeSumReduction(t *testing.T) {
 	fn, _ := l.FuncAddr("vsum")
 	cfg := brew.NewConfig().SetParam(2, brew.ParamKnown)
 	cfg.Vectorize = true
-	res, err := brew.Rewrite(m, cfg, fn, []uint64{0, uint64(len(vals))}, nil)
+	res, err := brew.Do(m, &brew.Request{Config: cfg, Fn: fn, Args: []uint64{0, uint64(len(vals))}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(res.Listing(), "vload") || !strings.Contains(res.Listing(), "vhadd") {
-		t.Fatalf("no vector code generated:\n%s", res.Listing())
+	if !strings.Contains(res.Result.Listing(), "vload") || !strings.Contains(res.Result.Listing(), "vhadd") {
+		t.Fatalf("no vector code generated:\n%s", res.Result.Listing())
 	}
 	want := 0.0
 	for _, v := range vals {
@@ -70,7 +70,7 @@ func TestVectorizeSumReduction(t *testing.T) {
 	}
 	// Fewer instructions than the scalar specialization.
 	cfg2 := brew.NewConfig().SetParam(2, brew.ParamKnown)
-	scalar, err := brew.Rewrite(m, cfg2, fn, []uint64{0, uint64(len(vals))}, nil)
+	scalar, err := brew.Do(m, &brew.Request{Config: cfg2, Fn: fn, Args: []uint64{0, uint64(len(vals))}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,12 +93,12 @@ func TestVectorizeMulAccumulate(t *testing.T) {
 	fn, _ := l.FuncAddr("vdot")
 	cfg := brew.NewConfig().SetParam(2, brew.ParamKnown)
 	cfg.Vectorize = true
-	res, err := brew.Rewrite(m, cfg, fn, []uint64{0, uint64(len(vals))}, nil)
+	res, err := brew.Do(m, &brew.Request{Config: cfg, Fn: fn, Args: []uint64{0, uint64(len(vals))}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(res.Listing(), "vmul") {
-		t.Logf("multiply form not vectorized (pattern shape dependent):\n%s", res.Listing())
+	if !strings.Contains(res.Result.Listing(), "vmul") {
+		t.Logf("multiply form not vectorized (pattern shape dependent):\n%s", res.Result.Listing())
 	}
 	f := 1.5
 	want := 0.0
@@ -118,12 +118,12 @@ func TestVectorizeOffByDefault(t *testing.T) {
 	m, l, _, vals := vecSetup(t)
 	fn, _ := l.FuncAddr("vsum")
 	cfg := brew.NewConfig().SetParam(2, brew.ParamKnown)
-	res, err := brew.Rewrite(m, cfg, fn, []uint64{0, uint64(len(vals))}, nil)
+	res, err := brew.Do(m, &brew.Request{Config: cfg, Fn: fn, Args: []uint64{0, uint64(len(vals))}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(res.Listing(), "vload") {
-		t.Errorf("vector code without opt-in:\n%s", res.Listing())
+	if strings.Contains(res.Result.Listing(), "vload") {
+		t.Errorf("vector code without opt-in:\n%s", res.Result.Listing())
 	}
 }
 
@@ -155,12 +155,12 @@ double strided(double *a, long n) {
 	}
 	cfg := brew.NewConfig().SetParam(2, brew.ParamKnown)
 	cfg.Vectorize = true
-	res, err := brew.Rewrite(m, cfg, fn, []uint64{0, 32}, nil)
+	res, err := brew.Do(m, &brew.Request{Config: cfg, Fn: fn, Args: []uint64{0, 32}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(res.Listing(), "vload") {
-		t.Errorf("strided access vectorized:\n%s", res.Listing())
+	if strings.Contains(res.Result.Listing(), "vload") {
+		t.Errorf("strided access vectorized:\n%s", res.Result.Listing())
 	}
 	got, err := m.CallFloat(res.Addr, []uint64{arr, 32}, nil)
 	if err != nil || math.Abs(got-want) > 1e-9 {

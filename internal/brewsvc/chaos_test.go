@@ -68,7 +68,7 @@ func TestChaosServiceNeverWrongNeverLeaks(t *testing.T) {
 	m, w := newStencil(t)
 	baseline := m.JITFreeBytes()
 
-	svc := brewsvc.New(m, brewsvc.Options{Workers: 4, QueueCap: 32, Shards: 2, PerShard: 4})
+	svc := brewsvc.Open(m, brewsvc.WithWorkers(4), brewsvc.WithQueueCap(32), brewsvc.WithCache(2, 4))
 
 	const iters = 3
 	target := uint64(500)

@@ -37,7 +37,7 @@ func TestTraceReconstructionCoalescedBurst(t *testing.T) {
 	withObs(t)
 	m, w := newStencil(t)
 	const after = 4
-	svc := brewsvc.New(m, brewsvc.Options{Workers: 1, QueueCap: 128, PromoteAfter: after})
+	svc := brewsvc.Open(m, brewsvc.WithWorkers(1), brewsvc.WithQueueCap(128), brewsvc.WithPromotion(after))
 	defer svc.Close()
 
 	// Deterministic coalescing, independent of scheduler timing: an
@@ -220,7 +220,7 @@ func TestObservationLeavesCyclesUnchanged(t *testing.T) {
 func TestInspectSnapshot(t *testing.T) {
 	withObs(t)
 	m, w := newStencil(t)
-	svc := brewsvc.New(m, brewsvc.Options{Workers: 2, QueueCap: 32})
+	svc := brewsvc.Open(m, brewsvc.WithWorkers(2), brewsvc.WithQueueCap(32))
 	defer svc.Close()
 
 	cfg, args := applyVariant(w, 0)
@@ -296,7 +296,7 @@ func TestInspectSnapshot(t *testing.T) {
 func TestServeIntrospection(t *testing.T) {
 	withObs(t)
 	m, w := newStencil(t)
-	svc := brewsvc.New(m, brewsvc.Options{Workers: 2, QueueCap: 32})
+	svc := brewsvc.Open(m, brewsvc.WithWorkers(2), brewsvc.WithQueueCap(32))
 	defer svc.Close()
 
 	cfg, args := applyVariant(w, 1)

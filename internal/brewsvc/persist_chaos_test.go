@@ -93,11 +93,8 @@ func TestPersistChaosStoreFaultsNeverWrong(t *testing.T) {
 				}
 			}
 		}
-		svc := brewsvc.New(m, brewsvc.Options{
-			Workers:             1,
-			Store:               st,
-			PersistDrainTimeout: 100 * time.Millisecond,
-		})
+		svc := brewsvc.Open(m, brewsvc.WithWorkers(1), brewsvc.WithStore(st),
+			brewsvc.WithPersistDrainTimeout(100*time.Millisecond))
 
 		type kernel struct {
 			name string

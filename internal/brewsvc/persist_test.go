@@ -36,7 +36,7 @@ func TestWarmStartAcrossRestart(t *testing.T) {
 	boot := func(warmExpected bool) (addr uint64, sum float64) {
 		m, w := newStencil(t)
 		st := openStoreDir(t, dir, spstore.Options{})
-		svc := brewsvc.New(m, brewsvc.Options{Workers: 1, Store: st})
+		svc := brewsvc.Open(m, brewsvc.WithWorkers(1), brewsvc.WithStore(st))
 		defer svc.Close()
 		cfg, args := w.ApplyConfig()
 		out := svc.Do(&brewsvc.Request{Config: cfg, Fn: w.Apply, Args: args})
@@ -87,7 +87,7 @@ func TestWarmStartInAnotherOrder(t *testing.T) {
 	boot := func(reverse bool) (addrs [3]uint64, svcStats brewsvc.Stats, text string, moved uint64) {
 		m, w := newStencil(t)
 		st := openStoreDir(t, dir, spstore.Options{})
-		svc := brewsvc.New(m, brewsvc.Options{Workers: 1, Store: st})
+		svc := brewsvc.Open(m, brewsvc.WithWorkers(1), brewsvc.WithStore(st))
 		defer svc.Close()
 		applyCfg, applyArgs := w.ApplyConfig()
 		groupCfg, groupArgs := w.GroupedConfig()
@@ -152,14 +152,14 @@ func TestWarmAdoptionPopulatesCache(t *testing.T) {
 	{
 		m, w := newStencil(t)
 		st := openStoreDir(t, dir, spstore.Options{})
-		svc := brewsvc.New(m, brewsvc.Options{Workers: 1, Store: st})
+		svc := brewsvc.Open(m, brewsvc.WithWorkers(1), brewsvc.WithStore(st))
 		cfg, args := w.ApplyConfig()
 		svc.Do(&brewsvc.Request{Config: cfg, Fn: w.Apply, Args: args})
 		svc.Close()
 	}
 	m, w := newStencil(t)
 	st := openStoreDir(t, dir, spstore.Options{})
-	svc := brewsvc.New(m, brewsvc.Options{Workers: 1, Store: st})
+	svc := brewsvc.Open(m, brewsvc.WithWorkers(1), brewsvc.WithStore(st))
 	defer svc.Close()
 	for i := 0; i < 3; i++ {
 		cfg, args := w.ApplyConfig()
@@ -194,11 +194,8 @@ func TestCloseRacingRemoteBackoff(t *testing.T) {
 		RemoteTimeout:    10 * time.Millisecond,
 		BreakerThreshold: 1 << 30,
 	})
-	svc := brewsvc.New(m, brewsvc.Options{
-		Workers:             1,
-		Store:               st,
-		PersistDrainTimeout: 50 * time.Millisecond,
-	})
+	svc := brewsvc.Open(m, brewsvc.WithWorkers(1), brewsvc.WithStore(st),
+		brewsvc.WithPersistDrainTimeout(50*time.Millisecond))
 	cfg, args := w.ApplyConfig()
 	if out := svc.Do(&brewsvc.Request{Config: cfg, Fn: w.Apply, Args: args}); out.Degraded {
 		t.Fatalf("degraded: %s", out.Reason)

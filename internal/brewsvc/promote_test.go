@@ -19,7 +19,7 @@ import (
 func TestPromotionHotSwapViaCalls(t *testing.T) {
 	m, w := newStencil(t)
 	const after = 8
-	svc := brewsvc.New(m, brewsvc.Options{Workers: 2, PromoteAfter: after})
+	svc := brewsvc.Open(m, brewsvc.WithWorkers(2), brewsvc.WithPromotion(after))
 	defer svc.Close()
 
 	cfg, args := w.ApplyConfig()
@@ -96,7 +96,7 @@ func TestPromotionHotSwapViaCalls(t *testing.T) {
 // the flight.
 func TestSubmitDoesNotAutoPromote(t *testing.T) {
 	m, w := newStencil(t)
-	svc := brewsvc.New(m, brewsvc.Options{Workers: 1, PromoteAfter: 1})
+	svc := brewsvc.Open(m, brewsvc.WithWorkers(1), brewsvc.WithPromotion(1))
 	defer svc.Close()
 
 	qcfg, qargs := w.ApplyConfig()
@@ -133,7 +133,7 @@ func TestSubmitDoesNotAutoPromote(t *testing.T) {
 // PCs on either side of the range do not.
 func TestNoteSampleAttribution(t *testing.T) {
 	m, w := newStencil(t)
-	svc := brewsvc.New(m, brewsvc.Options{Workers: 1, PromoteAfter: 1 << 20})
+	svc := brewsvc.Open(m, brewsvc.WithWorkers(1), brewsvc.WithPromotion(1<<20))
 	defer svc.Close()
 
 	cfg, args := w.ApplyConfig()
@@ -159,11 +159,11 @@ func TestNoteSampleAttribution(t *testing.T) {
 // may ever observe a torn or intermediate specialized address (only the
 // tier-0 body or the tier-1 body), and the entry's stable address must
 // not move. Run under -race this also validates the locking on the
-// Repromote swap path.
+// RepromoteVariant swap path.
 func TestPromotionNoTornAddress(t *testing.T) {
 	m, w := newStencil(t)
 	const after = 2
-	svc := brewsvc.New(m, brewsvc.Options{Workers: 2, PromoteAfter: after})
+	svc := brewsvc.Open(m, brewsvc.WithWorkers(2), brewsvc.WithPromotion(after))
 	defer svc.Close()
 
 	cfg, args := w.ApplyConfig()
@@ -240,7 +240,7 @@ func TestPromotionNoTornAddress(t *testing.T) {
 // collapses to exactly one flight per effort, never one shared flight.
 func TestPromotionDistinctEffortKeys(t *testing.T) {
 	m, w := newStencil(t)
-	svc := brewsvc.New(m, brewsvc.Options{Workers: 4})
+	svc := brewsvc.Open(m, brewsvc.WithWorkers(4))
 	defer svc.Close()
 
 	const n = 32
@@ -295,7 +295,7 @@ func TestPromotionDistinctEffortKeys(t *testing.T) {
 func TestCacheNeverServesQuickToFull(t *testing.T) {
 	m, w := newStencil(t)
 	const after = 4
-	svc := brewsvc.New(m, brewsvc.Options{Workers: 1, PromoteAfter: after})
+	svc := brewsvc.Open(m, brewsvc.WithWorkers(1), brewsvc.WithPromotion(after))
 	defer svc.Close()
 
 	qcfg, qargs := w.ApplyConfig()

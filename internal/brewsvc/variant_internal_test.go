@@ -86,7 +86,7 @@ func TestPumpVsEvictionRace(t *testing.T) {
 	}
 	base := m.JITFreeBytes()
 
-	s := New(m, Options{Workers: 2, Shards: 1, PerShard: 1, PromoteAfter: 1})
+	s := Open(m, WithWorkers(2), WithPromotion(1), WithCache(1, 1))
 
 	var wg sync.WaitGroup
 	wg.Add(2)

@@ -46,7 +46,7 @@ func polyRef(x, k uint64) uint64 {
 func TestSiblingVariantsShareEntry(t *testing.T) {
 	m := vm.MustNew()
 	fn := loadPoly(t, m)
-	svc := brewsvc.New(m, brewsvc.Options{Workers: 2})
+	svc := brewsvc.Open(m, brewsvc.WithWorkers(2))
 	defer svc.Close()
 
 	guard := func(k uint64) []brew.ParamGuard {
@@ -119,9 +119,7 @@ func TestSiblingVariantsShareEntry(t *testing.T) {
 func TestVariantTableLimitEvictsSibling(t *testing.T) {
 	m := vm.MustNew()
 	fn := loadPoly(t, m)
-	svc := brewsvc.New(m, brewsvc.Options{
-		Workers: 1, Policy: specmgr.Policy{MaxVariants: 1},
-	})
+	svc := brewsvc.Open(m, brewsvc.WithWorkers(1), brewsvc.WithPolicy(specmgr.Policy{MaxVariants: 1}))
 	defer svc.Close()
 
 	req := func(k uint64) *brewsvc.Request {
@@ -187,7 +185,7 @@ func TestDispatchSampleAttribution(t *testing.T) {
 	m := vm.MustNew()
 	fn := loadPoly(t, m)
 	const after = 4
-	svc := brewsvc.New(m, brewsvc.Options{Workers: 1, PromoteAfter: after})
+	svc := brewsvc.Open(m, brewsvc.WithWorkers(1), brewsvc.WithPromotion(after))
 	defer svc.Close()
 
 	qcfg := brew.NewConfig()

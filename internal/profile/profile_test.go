@@ -102,11 +102,12 @@ func TestGuardedSpecializationFromProfile(t *testing.T) {
 	if frac < 0.9 {
 		t.Fatalf("profile not stable: %v %f", hot, frac)
 	}
-	g, err := brew.RewriteGuarded(m, brew.NewConfig(), poly,
-		[]brew.ParamGuard{{Param: 2, Value: hot.Value}}, nil, nil)
+	out, err := brew.Do(m, &brew.Request{Config: brew.NewConfig(), Fn: poly,
+		Guards: []brew.ParamGuard{{Param: 2, Value: hot.Value}}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	g := out.Guarded
 
 	// Hot path: guard matches, runs the specialized version.
 	a, err := m.Call(g.Addr, 9, 42)
@@ -153,11 +154,8 @@ func TestGuardedSpecializationFromProfile(t *testing.T) {
 
 func TestGuardErrors(t *testing.T) {
 	m, poly, _ := setup(t)
-	if _, err := brew.RewriteGuarded(m, brew.NewConfig(), poly, nil, nil, nil); err == nil {
-		t.Error("empty guards accepted")
-	}
-	if _, err := brew.RewriteGuarded(m, brew.NewConfig(), poly,
-		[]brew.ParamGuard{{Param: 9, Value: 1}}, nil, nil); err == nil {
+	if _, err := brew.Do(m, &brew.Request{Config: brew.NewConfig(), Fn: poly,
+		Guards: []brew.ParamGuard{{Param: 9, Value: 1}}}); err == nil {
 		t.Error("bad param index accepted")
 	}
 }

@@ -8,8 +8,8 @@ import (
 )
 
 // TestAdoptPromote covers the rewrite-behind lifecycle: a pending entry
-// routes to the original function, Promote hot-patches the stub, and the
-// same caller-held address starts running specialized code.
+// routes to the original function, InstallVariant hot-patches the stub,
+// and the same caller-held address starts running specialized code.
 func TestAdoptPromote(t *testing.T) {
 	m, w := newStencil(t)
 	mgr := specmgr.New(m, specmgr.Policy{})
@@ -41,13 +41,14 @@ func TestAdoptPromote(t *testing.T) {
 	if rerr != nil {
 		t.Fatalf("Do: %v", rerr)
 	}
-	if !mgr.Promote(e, out, nil) {
-		t.Fatal("Promote reported failure for a successful outcome")
+	v, ok := mgr.InstallVariant(e, cfg, nil, args, nil, out, nil)
+	if !ok {
+		t.Fatal("InstallVariant reported failure for a successful outcome")
 	}
 	if e.Pending() || e.Degraded() {
 		t.Fatalf("promoted entry: pending=%v degraded=%v", e.Pending(), e.Degraded())
 	}
-	if e.Result() != out.Result {
+	if e.Result() != out.Result || v.Result() != out.Result {
 		t.Fatal("promoted entry does not carry the rewrite result")
 	}
 	if e.Addr() != addr {
@@ -56,10 +57,6 @@ func TestAdoptPromote(t *testing.T) {
 	// The same address now runs the specialization; results stay correct.
 	if got, err := m.CallFloat(addr, callArgs, nil); err != nil || got != want {
 		t.Fatalf("promoted call = %g, %v; want %g", got, err, want)
-	}
-	// Second Promote of the same entry must be a no-op.
-	if mgr.Promote(e, out, nil) {
-		t.Fatal("double Promote succeeded")
 	}
 }
 
@@ -83,8 +80,8 @@ func TestAdoptPromoteDegraded(t *testing.T) {
 	if rerr == nil {
 		t.Fatal("expected a degraded outcome")
 	}
-	if mgr.Promote(e, out, rerr) {
-		t.Fatal("Promote succeeded on a degraded outcome")
+	if _, ok := mgr.InstallVariant(e, cfg, nil, args, nil, out, rerr); ok {
+		t.Fatal("InstallVariant succeeded on a degraded outcome")
 	}
 	if e.Pending() || !e.Degraded() {
 		t.Fatalf("entry after degraded promote: pending=%v degraded=%v", e.Pending(), e.Degraded())
@@ -99,8 +96,8 @@ func TestAdoptPromoteDegraded(t *testing.T) {
 	mgr.Release(e)
 }
 
-// TestAdoptReleaseBeforePromote: releasing a pending entry makes Promote
-// free the fresh code instead of leaking it.
+// TestAdoptReleaseBeforePromote: releasing a pending entry makes
+// InstallVariant free the fresh code instead of leaking it.
 func TestAdoptReleaseBeforePromote(t *testing.T) {
 	m, w := newStencil(t)
 	mgr := specmgr.New(m, specmgr.Policy{})
@@ -115,8 +112,8 @@ func TestAdoptReleaseBeforePromote(t *testing.T) {
 		t.Fatalf("Do: %v", rerr)
 	}
 	mgr.Release(e)
-	if mgr.Promote(e, out, nil) {
-		t.Fatal("Promote succeeded on a released entry")
+	if _, ok := mgr.InstallVariant(e, cfg, nil, args, nil, out, nil); ok {
+		t.Fatal("InstallVariant succeeded on a released entry")
 	}
 	if got := m.JITFreeBytes(); got != baseline {
 		t.Fatalf("leaked JIT bytes: free %d, baseline %d", got, baseline)
@@ -140,8 +137,8 @@ func TestAdoptCoResident(t *testing.T) {
 		if rerr != nil {
 			t.Fatalf("Do %d: %v", i, rerr)
 		}
-		if !mgr.Promote(e, out, nil) {
-			t.Fatalf("Promote %d failed", i)
+		if _, ok := mgr.InstallVariant(e, cfg, nil, args, nil, out, nil); !ok {
+			t.Fatalf("InstallVariant %d failed", i)
 		}
 		entries = append(entries, e)
 	}

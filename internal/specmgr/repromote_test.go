@@ -8,11 +8,11 @@ import (
 	"repro/internal/specmgr"
 )
 
-// TestRepromoteHotSwap: a successful Repromote swaps a live tier-0
-// entry's body for the full-effort code behind the same stable address,
-// updates the retained configuration and tier, and frees the old body —
-// Release afterwards returns the JIT space to the pre-specialization
-// baseline.
+// TestRepromoteHotSwap: a successful RepromoteVariant of the primary
+// variant swaps a live tier-0 entry's body for the full-effort code behind
+// the same stable address, updates the retained configuration and tier,
+// and frees the old body — Release afterwards returns the JIT space to the
+// pre-specialization baseline.
 func TestRepromoteHotSwap(t *testing.T) {
 	m, w := newStencil(t)
 	baseline := m.JITFreeBytes()
@@ -49,17 +49,17 @@ func TestRepromoteHotSwap(t *testing.T) {
 	if rerr != nil {
 		t.Fatal(rerr)
 	}
-	if !mgr.Repromote(e, fcfg, out, rerr) {
-		t.Fatal("Repromote refused a live tier-0 entry")
+	if !mgr.RepromoteVariant(e, e.Variants()[0], fcfg, out, rerr) {
+		t.Fatal("RepromoteVariant refused a live tier-0 entry")
 	}
 	if got := e.Tier(); got != brew.EffortFull {
-		t.Fatalf("tier after Repromote %s, want full", got)
+		t.Fatalf("tier after RepromoteVariant %s, want full", got)
 	}
 	if e.Addr() != stable {
 		t.Fatalf("stable address moved: %#x -> %#x", stable, e.Addr())
 	}
 	if e.Result().Addr == quickAddr {
-		t.Fatal("Repromote kept the tier-0 body")
+		t.Fatal("RepromoteVariant kept the tier-0 body")
 	}
 	got, err := m.CallFloat(e.Addr(), callArgs, nil)
 	if err != nil || math.Abs(got-want) > 1e-12 {
@@ -87,6 +87,7 @@ func TestRepromoteRefusesReleased(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	v := e.Variants()[0]
 	mgr.Release(e)
 
 	baseline := m.JITFreeBytes()
@@ -95,11 +96,11 @@ func TestRepromoteRefusesReleased(t *testing.T) {
 	if rerr != nil {
 		t.Fatal(rerr)
 	}
-	if mgr.Repromote(e, fcfg, out, rerr) {
-		t.Fatal("Repromote accepted a released entry")
+	if mgr.RepromoteVariant(e, v, fcfg, out, rerr) {
+		t.Fatal("RepromoteVariant accepted a released entry")
 	}
 	if free := m.JITFreeBytes(); free != baseline {
-		t.Fatalf("refused Repromote leaked the fresh code: free %d, baseline %d", free, baseline)
+		t.Fatalf("refused RepromoteVariant leaked the fresh code: free %d, baseline %d", free, baseline)
 	}
 }
 
@@ -130,6 +131,7 @@ func TestRepromoteRefusesDeopted(t *testing.T) {
 	if rerr != nil {
 		t.Fatal(rerr)
 	}
+	v := e.Variants()[0]
 	if _, err := m.CallFloat(poke, []uint64{w.S5 + 8}, []float64{-0.5}); err != nil {
 		t.Fatal(err)
 	}
@@ -137,11 +139,11 @@ func TestRepromoteRefusesDeopted(t *testing.T) {
 		t.Fatal("frozen store did not deoptimize the entry")
 	}
 
-	if mgr.Repromote(e, fcfg, out, rerr) {
-		t.Fatal("Repromote accepted a deoptimized entry")
+	if mgr.RepromoteVariant(e, v, fcfg, out, rerr) {
+		t.Fatal("RepromoteVariant accepted a deoptimized entry")
 	}
 	if free := m.JITFreeBytes(); free != baseline {
-		t.Fatalf("refused Repromote leaked the fresh code: free %d, baseline %d", free, baseline)
+		t.Fatalf("refused RepromoteVariant leaked the fresh code: free %d, baseline %d", free, baseline)
 	}
 
 	// The entry still serves the original, which sees the new coefficient.

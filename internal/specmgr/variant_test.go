@@ -447,8 +447,8 @@ func TestTierReportsServedCode(t *testing.T) {
 	out, rerr := brew.Do(m, &brew.Request{
 		Config: quick2, Fn: fn, Mode: brew.ModeDegrade,
 	})
-	if !mgr.Promote(p, out, rerr) {
-		t.Fatalf("Promote failed: %v", rerr)
+	if _, ok := mgr.InstallVariant(p, quick2, nil, nil, nil, out, rerr); !ok {
+		t.Fatalf("InstallVariant failed: %v", rerr)
 	}
 	if p.Tier() != brew.EffortQuick {
 		t.Fatalf("promoted entry Tier = %v, want quick", p.Tier())
@@ -465,14 +465,14 @@ func TestStubFailureCountsDegraded(t *testing.T) {
 
 	// Probe the body size, then size the code buffer so the body fits
 	// exactly and the stub allocation behind it must fail.
-	probe, err := brew.Rewrite(m, brew.NewConfig(), fn, nil, nil)
+	probe, err := brew.Do(m, &brew.Request{Config: brew.NewConfig(), Fn: fn})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := m.FreeJIT(probe.Addr); err != nil {
 		t.Fatal(err)
 	}
-	bodySize := (uint64(probe.CodeSize) + 15) &^ 15
+	bodySize := (uint64(probe.Result.CodeSize) + 15) &^ 15
 	m.JITAlloc = mem.NewAllocator(vm.JITBase, bodySize, 16)
 
 	telemetry.Enable()

@@ -3,6 +3,7 @@ package repro_test
 import (
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro"
@@ -39,7 +40,7 @@ double scale(double *v, long n, double f) {
 	}
 
 	cfg := repro.NewConfig().SetFloatParam(1, repro.ParamKnown)
-	res, err := sys.Rewrite(cfg, fn, nil, []float64{2.0})
+	res, err := sys.Do(&repro.Request{Config: cfg, Fn: fn, FArgs: []float64{2.0}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +58,7 @@ double scale(double *v, long n, double f) {
 	if vals[3] != 8 {
 		t.Errorf("v[3] = %g, want 8", vals[3])
 	}
-	dis, err := sys.Disassemble(res.Addr, res.CodeSize)
+	dis, err := sys.Disassemble(res.Addr, res.Result.CodeSize)
 	if err != nil || !strings.Contains(dis, "ret") {
 		t.Errorf("disassembly: %v\n%s", err, dis)
 	}
@@ -92,7 +93,7 @@ func TestErrorReexports(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = sys.Rewrite(repro.NewConfig(), im.MustEntry("f"), nil, nil)
+	_, err = sys.Do(&repro.Request{Config: repro.NewConfig(), Fn: im.MustEntry("f")})
 	if !errors.Is(err, repro.ErrIndirectJump) {
 		t.Errorf("err = %v", err)
 	}
@@ -108,15 +109,23 @@ func TestRewriteBatchFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	fn, _ := prog.FuncAddr("twice")
-	var reqs []repro.BatchRequest
-	for b := uint64(1); b <= 4; b++ {
-		reqs = append(reqs, repro.BatchRequest{
-			Cfg:  repro.NewConfig().SetParam(2, repro.ParamKnown),
-			Fn:   fn,
-			Args: []uint64{0, b},
-		})
+	// Independent requests may run concurrently on one System.
+	results := make([]*repro.Outcome, 4)
+	errs := make([]error, len(results))
+	var wg sync.WaitGroup
+	for i := range results {
+		req := &repro.Request{
+			Config: repro.NewConfig().SetParam(2, repro.ParamKnown),
+			Fn:     fn,
+			Args:   []uint64{0, uint64(i + 1)},
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i], errs[i] = sys.Do(req)
+		}()
 	}
-	results, errs := sys.RewriteBatch(reqs)
+	wg.Wait()
 	for i, e := range errs {
 		if e != nil {
 			t.Fatalf("req %d: %v", i, e)
