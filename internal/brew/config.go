@@ -2,7 +2,7 @@
 // API for programmer-controlled binary rewriting at runtime ("BREW", Binary
 // REWriting). Given the address of a compiled function and a configuration
 // declaring which parameters and memory regions may be assumed constant,
-// Rewrite traces the function's machine code instruction by instruction,
+// Do traces the function's machine code instruction by instruction,
 // maintains a known-world state, and captures a specialized version:
 // operations on known values are evaluated at rewrite time (automatic
 // constant propagation / partial evaluation), calls with known targets are
@@ -50,7 +50,7 @@ var (
 	// error: the host keeps running and the original function stays valid.
 	ErrRewritePanic = errors.New("brew: rewrite panicked")
 	// ErrDegraded marks a rewrite failure converted into transparent
-	// fallback by RewriteOrDegrade: the returned Result addresses the
+	// fallback by Do under ModeDegrade: the returned Outcome addresses the
 	// original function. It always wraps the underlying cause.
 	ErrDegraded = errors.New("brew: specialization degraded to original")
 )
@@ -63,7 +63,7 @@ type ParamClass uint8
 const (
 	// ParamUnknown: the parameter is a runtime value (default).
 	ParamUnknown ParamClass = iota
-	// ParamKnown: the value passed to Rewrite is assumed constant in the
+	// ParamKnown: the value passed to Do is assumed constant in the
 	// specialized version; callers of the result must pass the same value
 	// (they may also pass anything if the function provably ignores it, as
 	// the paper's Figure 3 does — the specialized code never reads it).
@@ -125,7 +125,7 @@ func (o FuncOpts) normalized() FuncOpts {
 }
 
 // Budget tightens the resource bounds of one rewrite attempt beyond the
-// structural Config limits. A server calling Rewrite on a hot path sets a
+// structural Config limits. A server calling Do on a hot path sets a
 // Budget so a pathological specialization request degrades to the generic
 // function quickly instead of stalling the host. Zero fields are "no extra
 // bound"; non-zero fields only ever lower the corresponding Config limit.
@@ -150,12 +150,12 @@ const (
 	SiteLayout = "layout"
 	// SiteInstall fires before JIT allocation and installation.
 	SiteInstall = "install"
-	// SiteDispatch fires before guard-dispatcher installation
-	// (RewriteGuarded only).
+	// SiteDispatch fires before guard-dispatcher installation (guarded
+	// requests only).
 	SiteDispatch = "dispatch"
 )
 
-// Config configures one Rewrite call. The zero value is NOT usable; call
+// Config configures one Do call. The zero value is NOT usable; call
 // NewConfig (the analogue of the paper's brew_initConf).
 type Config struct {
 	intParams   [len(isa.IntArgRegs)]paramSpec

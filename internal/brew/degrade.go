@@ -1,12 +1,8 @@
 package brew
 
-import (
-	"errors"
+import "errors"
 
-	"repro/internal/vm"
-)
-
-// Degradation reasons, the closed vocabulary RewriteOrDegrade classifies
+// Degradation reasons, the closed vocabulary Do's ModeDegrade classifies
 // failures into (one telemetry counter each; see metrics.go).
 const (
 	ReasonTraceBudget  = "trace-budget"
@@ -22,7 +18,7 @@ const (
 	ReasonOther        = "other"
 )
 
-// DegradeReason maps a Rewrite error to its degradation-reason label.
+// DegradeReason maps a Do error to its degradation-reason label.
 func DegradeReason(err error) string {
 	switch {
 	case errors.Is(err, ErrTraceTooLong):
@@ -48,24 +44,4 @@ func DegradeReason(err error) string {
 	default:
 		return ReasonOther
 	}
-}
-
-// RewriteOrDegrade is the never-fails form of Rewrite: the paper's Section
-// III.D contract ("Otherwise, the original function should be executed")
-// applied to every failure mode, not just guard misses. On success it
-// returns the specialization unchanged. On ANY failure — budget or buffer
-// exhaustion, unsupported constructs, injected faults, internal panics —
-// it returns a degraded Result whose Addr is the original function (always
-// safe to call) together with an error wrapping both ErrDegraded and the
-// cause. The degradation is counted per reason in telemetry.
-//
-// Deprecated: use Do with ModeDegrade.
-func RewriteOrDegrade(m *vm.Machine, cfg *Config, fn uint64, args []uint64, fargs []float64) (*Result, error) {
-	out, err := Do(m, &Request{Config: cfg, Fn: fn, Args: args, FArgs: fargs, Mode: ModeDegrade})
-	if out == nil {
-		// Only a nil request/config refusal reaches here; ModeDegrade
-		// converts every pipeline failure into a degraded outcome.
-		return nil, err
-	}
-	return out.Result, err
 }

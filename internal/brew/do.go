@@ -11,20 +11,19 @@ type Mode uint8
 
 const (
 	// ModeSpecialize fails the request on any pipeline error; the caller
-	// keeps using the original function (the legacy Rewrite contract).
+	// keeps using the original function.
 	ModeSpecialize Mode = iota
 	// ModeDegrade never fails: every pipeline error — budget or buffer
 	// exhaustion, unsupported constructs, injected faults, internal panics —
 	// converts into a degraded Outcome addressing the original function,
-	// with the cause wrapped in ErrDegraded (the legacy RewriteOrDegrade
-	// contract applied uniformly, including to guarded requests).
+	// with the cause wrapped in ErrDegraded (the paper's Section III.D
+	// "otherwise, the original function should be executed" applied to
+	// every failure mode, guarded requests included).
 	ModeDegrade
 )
 
 // Request is one specialization request: the single input shape of the
-// unified rewrite entry point Do. The legacy entry points (Rewrite,
-// RewriteBatch, RewriteGuarded, RewriteOrDegrade) are thin wrappers over
-// it.
+// rewrite entry point Do.
 type Request struct {
 	// Config declares the rewrite assumptions (NewConfig). Do never
 	// mutates it: guarded requests operate on an internal Clone, so a
@@ -66,16 +65,29 @@ type Outcome struct {
 	Reason   string
 }
 
-// Do is the unified rewrite entry point: one call shape for plain,
-// guarded, and never-fails specialization requests. It subsumes the four
-// legacy entry points so every caller shares one pipeline, one failure
-// model, and one cacheable request shape (Config.Fingerprint plus the
-// known-argument values identify the specialization).
+// Do generates a specialized drop-in replacement for the function at
+// req.Fn, the analogue of the paper's
 //
-// An internal rewriter panic is recovered and reported as ErrRewritePanic
-// (or converted to a degraded outcome under ModeDegrade) — it can never
-// take the host down. On error under ModeSpecialize the outcome is nil and
-// the original function remains valid.
+//	newfunc = brew_rewrite(rConf, func, arg1, arg2, ...);
+//
+// with req.Config as rConf. req.Args and req.FArgs supply the emulated
+// call's parameter setting (Section III.B: "The rewriting process
+// essentially emulates a call to the function. This requires that a
+// parameter setting is provided."); only parameters declared known in the
+// Config are consulted. It is the one entry point for plain, guarded
+// (req.Guards) and never-fails (ModeDegrade) requests, so every caller
+// shares one pipeline, one failure model, and one cacheable request shape
+// (Config.Fingerprint plus the known-argument values identify the
+// specialization).
+//
+// Rewriting failure is not catastrophic (Section III.G): on error under
+// ModeSpecialize the outcome is nil and the original function remains
+// valid. An internal rewriter panic is recovered and reported as
+// ErrRewritePanic (or converted to a degraded outcome under ModeDegrade) —
+// it can never take the host down. Independent requests may run
+// concurrently on one machine: tracing only reads its memory and code
+// installation is serialized, but the machine must not execute code
+// meanwhile.
 func Do(m *vm.Machine, req *Request) (*Outcome, error) {
 	if req == nil {
 		return nil, fmt.Errorf("%w: nil request", ErrBadConfig)

@@ -102,28 +102,6 @@ func (g *GuardedResult) CallFloat(m *vm.Machine, intArgs []uint64, fArgs []float
 	return m.CallFloat(g.Addr, intArgs, fArgs)
 }
 
-// RewriteGuarded implements the paper's profile-driven specialization
-// (Section III.D): "it may be observed that a parameter to a function
-// often is 42. In this case, a specific variant can be generated which is
-// called after a check for the parameter actually being 42. Otherwise, the
-// original function should be executed."
-//
-// The guarded parameters are declared ParamKnown on an internal clone of
-// cfg with the guard values as the rewrite-time setting; the returned
-// dispatcher is a drop-in replacement for fn.
-//
-// Deprecated: use Do with Request.Guards.
-func RewriteGuarded(m *vm.Machine, cfg *Config, fn uint64, guards []ParamGuard, args []uint64, fargs []float64) (*GuardedResult, error) {
-	if len(guards) == 0 {
-		return nil, fmt.Errorf("%w: no guards", ErrBadConfig)
-	}
-	out, err := Do(m, &Request{Config: cfg, Fn: fn, Args: args, FArgs: fargs, Guards: guards})
-	if err != nil {
-		return nil, err
-	}
-	return out.Guarded, nil
-}
-
 // guardedRewrite builds a guarded specialization: the specialized body for
 // the guard values plus a dispatcher checking the guards and falling back
 // to the original function. It runs under Do's recovery barrier and owns

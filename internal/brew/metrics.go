@@ -2,7 +2,7 @@ package brew
 
 import "repro/internal/telemetry"
 
-// Rewriter metrics, published once per completed Rewrite from the finished
+// Rewriter metrics, published once per completed rewrite from the finished
 // RewriteReport. Handles are resolved at init; updates are no-ops while
 // telemetry is disabled.
 var (
@@ -23,7 +23,7 @@ var (
 	mTracedHist = telemetry.Default.Histogram("brew.traced_instrs",
 		[]uint64{100, 1_000, 10_000, 100_000, 1_000_000})
 
-	// Degradations (RewriteOrDegrade), total and by reason.
+	// Degradations (Do under ModeDegrade), total and by reason.
 	mDegrades  = telemetry.Default.Counter("brew.degrades")
 	mDegradeBy = map[string]*telemetry.Counter{
 		ReasonTraceBudget:  telemetry.Default.Counter("brew.degrade.trace_budget"),

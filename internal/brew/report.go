@@ -69,7 +69,7 @@ type Overhead struct {
 	TrampolineInstrs int `json:"trampoline_instrs,omitempty"`
 }
 
-// RewriteReport explains a Rewrite: per traced instruction, per block and
+// RewriteReport explains a rewrite: per traced instruction, per block and
 // per optimization pass, what was kept, elided, folded or inlined and why.
 // It is always produced (tracing is not the emulated hot path) and rides
 // on Result.Report.

@@ -3,7 +3,6 @@ package brew
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/isa"
@@ -37,7 +36,7 @@ type Result struct {
 	// raw bytes beside its record and decodes them on demand.
 	Report *RewriteReport
 
-	// Degraded marks a RewriteOrDegrade fallback: Addr is the original
+	// Degraded marks a ModeDegrade fallback: Addr is the original
 	// function, not specialized code, and the other fields are zero.
 	Degraded bool
 
@@ -48,29 +47,7 @@ type Result struct {
 	blocks []blockInfo
 }
 
-// Rewrite generates a specialized drop-in replacement for the function at
-// fn, the analogue of the paper's
-//
-//	newfunc = brew_rewrite(rConf, func, arg1, arg2, ...);
-//
-// args and fargs supply the emulated call's parameter setting (Section
-// III.B: "The rewriting process essentially emulates a call to the
-// function. This requires that a parameter setting is provided."); only
-// parameters declared known in cfg are consulted.
-//
-// On error the original function remains valid; rewriting failure is not
-// catastrophic (Section III.G). An internal rewriter panic is recovered and
-// reported as ErrRewritePanic — it can never take the host down.
-//
-// Deprecated: use Do.
-func Rewrite(m *vm.Machine, cfg *Config, fn uint64, args []uint64, fargs []float64) (*Result, error) {
-	out, err := Do(m, &Request{Config: cfg, Fn: fn, Args: args, FArgs: fargs})
-	if err != nil {
-		return nil, err
-	}
-	return out.Result, nil
-}
-
+// rewrite is one pipeline pass: trace, optimize, lay out and install.
 func rewrite(m *vm.Machine, cfg *Config, fn uint64, args []uint64, fargs []float64) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -158,42 +135,4 @@ func rewrite(m *vm.Machine, cfg *Config, fn uint64, args []uint64, fargs []float
 	res.Report.Effort = cfg.Effort.String()
 	publishRewriteTelemetry(res.Report)
 	return res, nil
-}
-
-// BatchRequest is one rewrite in a RewriteBatch call.
-type BatchRequest struct {
-	Cfg   *Config
-	Fn    uint64
-	Args  []uint64
-	FArgs []float64
-}
-
-// RewriteBatch performs several rewrites concurrently. Tracing only reads
-// machine memory and code installation is serialized internally, so the
-// requests are independent; the machine must not execute code while the
-// batch runs. Results and errors are positional: a failed request leaves
-// its Result nil and the other requests unaffected (the paper's
-// incremental-failure model, per function).
-//
-// Deprecated: use Do per request, or internal/brewsvc for a managed worker
-// pool with coalescing and caching.
-func RewriteBatch(m *vm.Machine, reqs []BatchRequest) ([]*Result, []error) {
-	results := make([]*Result, len(reqs))
-	errs := make([]error, len(reqs))
-	var wg sync.WaitGroup
-	for i := range reqs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			r := reqs[i]
-			out, err := Do(m, &Request{Config: r.Cfg, Fn: r.Fn, Args: r.Args, FArgs: r.FArgs})
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			results[i] = out.Result
-		}(i)
-	}
-	wg.Wait()
-	return results, errs
 }

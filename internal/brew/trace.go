@@ -11,7 +11,7 @@ import (
 	"repro/internal/vm"
 )
 
-// tracer carries the state of one Rewrite call: the block queue, the
+// tracer carries the state of one rewrite: the block queue, the
 // already-generated translations, and the state of the path currently being
 // traced. Nothing in it is shared with another request.
 type tracer struct {

@@ -306,11 +306,10 @@ func (s *Stats) add(o Stats) {
 	s.DeadlineSheds += o.DeadlineSheds
 }
 
-// Service is the concurrent specialization service. Create with Open (or
-// the deprecated New), stop with Close. All methods are safe for
-// concurrent use; the machine must not execute emulated code while
-// rewrites are in flight (the RewriteBatch contract, inherited from the
-// tracer reading machine memory).
+// Service is the concurrent specialization service. Create with Open, stop
+// with Close. All methods are safe for concurrent use; the machine must not
+// execute emulated code while rewrites are in flight (brew.Do's contract,
+// inherited from the tracer reading machine memory).
 type Service struct {
 	m   *vm.Machine
 	mgr *specmgr.Manager
@@ -403,13 +402,9 @@ func tierOf(eff brew.Effort) obs.Tier {
 // open builds and starts the service from a resolved configuration
 // (constructors live in options.go).
 func open(m *vm.Machine, cfg svcConfig) *Service {
-	mgr := cfg.manager
-	if mgr == nil {
-		mgr = specmgr.New(m, cfg.policy)
-	}
 	s := &Service{
 		m:      m,
-		mgr:    mgr,
+		mgr:    specmgr.New(m, cfg.policy),
 		cfg:    cfg,
 		cache:  newCache(cfg.cacheShards, cfg.cachePerShard),
 		shards: make([]*shard, cfg.shards),
@@ -434,9 +429,6 @@ func open(m *vm.Machine, cfg svcConfig) *Service {
 	}
 	return s
 }
-
-// Manager returns the specialization manager the service installs through.
-func (s *Service) Manager() *specmgr.Manager { return s.mgr }
 
 // ShardCount returns the number of service shards.
 func (s *Service) ShardCount() int { return len(s.shards) }
@@ -918,11 +910,12 @@ func (s *Service) evictVictim(victim cacheVal, justInstalled *specmgr.Variant) {
 }
 
 // completeUncacheable finishes a private-entry flight (Config.Inject set:
-// no coalescing, no cache, legacy whole-entry promotion).
+// no coalescing, no cache): the outcome becomes the pending entry's first
+// variant.
 func (sh *shard) completeUncacheable(f *flight, out *brew.Outcome, rerr error) Outcome {
 	s := sh.s
 	instStart := obs.Now()
-	promoted := s.mgr.Promote(f.entry, out, rerr)
+	_, promoted := s.mgr.InstallVariant(f.entry, f.req.Config, f.req.Guards, f.req.Args, f.req.FArgs, out, rerr)
 	obs.EndSpanOn(sh.id, f.trace, obs.StageInstall, tierOf(f.req.Config.Effort), instStart, f.req.Fn, 0)
 	res := Outcome{Entry: f.entry, Addr: f.entry.Addr()}
 	if promoted {
@@ -1017,10 +1010,6 @@ func (s *Service) Close() {
 	// chance to flush, but never hang on a put stuck in retry backoff
 	// (the local tier already has every record).
 	if s.cfg.store != nil {
-		d := s.cfg.drainTimeout
-		if d <= 0 {
-			d = 2 * time.Second
-		}
-		s.cfg.store.Drain(d)
+		s.cfg.store.Drain(s.cfg.drainTimeout)
 	}
 }

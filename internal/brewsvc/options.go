@@ -18,7 +18,6 @@ type svcConfig struct {
 	cacheShards   int // specialized-code cache shards (global across service shards)
 	cachePerShard int // LRU capacity per cache shard
 
-	manager      *specmgr.Manager
 	policy       specmgr.Policy
 	promoteAfter int
 	store        *spstore.Store
@@ -33,6 +32,7 @@ func defaultConfig() svcConfig {
 		queueCap:      64,
 		cacheShards:   8,
 		cachePerShard: 32,
+		drainTimeout:  2 * time.Second,
 	}
 }
 
@@ -88,14 +88,8 @@ func WithCache(shards, perShard int) Option {
 	}
 }
 
-// WithManager installs through an externally owned specialization manager
-// instead of creating one.
-func WithManager(m *specmgr.Manager) Option {
-	return func(c *svcConfig) { c.manager = m }
-}
-
-// WithPolicy configures the internally created manager (ignored with
-// WithManager). Detached service entries are exempt from MaxLive.
+// WithPolicy configures the service's specialization manager. Detached
+// service entries are exempt from MaxLive.
 func WithPolicy(p specmgr.Policy) Option {
 	return func(c *svcConfig) { c.policy = p }
 }
@@ -123,7 +117,11 @@ func WithStore(st *spstore.Store) Option {
 // write-behind queue (default 2s; only used with WithStore). Close never
 // hangs on a remote put stuck in backoff.
 func WithPersistDrainTimeout(d time.Duration) Option {
-	return func(c *svcConfig) { c.drainTimeout = d }
+	return func(c *svcConfig) {
+		if d > 0 {
+			c.drainTimeout = d
+		}
+	}
 }
 
 // WithAdmission enables real admission control: per-priority queue-wait
@@ -140,7 +138,7 @@ func WithAdmission(a Admission) Option {
 //	svc := brewsvc.Open(m, brewsvc.WithShards(8), brewsvc.WithWorkers(2))
 //
 // With no options the service runs one shard with four workers, a
-// 64-deep queue and an 8x32 cache — the legacy New defaults.
+// 64-deep queue and an 8x32 cache.
 func Open(m *vm.Machine, opts ...Option) *Service {
 	cfg := defaultConfig()
 	for _, o := range opts {
@@ -148,68 +146,5 @@ func Open(m *vm.Machine, opts ...Option) *Service {
 			o(&cfg)
 		}
 	}
-	return open(m, cfg)
-}
-
-// Options configures a Service for the legacy New constructor. Zero
-// fields take the documented defaults.
-//
-// Deprecated: use Open with functional options (WithShards, WithWorkers,
-// WithQueueCap, WithCache, WithManager, WithPolicy, WithPromotion,
-// WithStore, WithPersistDrainTimeout, WithAdmission).
-type Options struct {
-	// Workers is the rewriter goroutine count (default 4).
-	Workers int
-	// QueueCap bounds the total queued (not yet running) requests across
-	// all priority levels; a full queue rejects with ErrQueueFull
-	// (default 64).
-	QueueCap int
-	// Shards is the specialized-code cache shard count (default 8);
-	// PerShard the LRU capacity of each shard (default 32).
-	Shards   int
-	PerShard int
-	// Manager, when non-nil, is the externally owned specialization
-	// manager to install through; otherwise the service creates one with
-	// Policy.
-	Manager *specmgr.Manager
-	// Policy configures the internally created manager (ignored when
-	// Manager is set).
-	Policy specmgr.Policy
-	// PromoteAfter is the tiered-rewriting hotness threshold (see
-	// WithPromotion). Zero or negative disables promotion.
-	PromoteAfter int
-	// Store, when non-nil, is the persistent rewrite store (see
-	// WithStore).
-	Store *spstore.Store
-	// PersistDrainTimeout bounds Close's wait for the store's remote
-	// write-behind queue (default 2s; only used when Store is set).
-	PersistDrainTimeout time.Duration
-}
-
-// New starts a single-shard service over machine m with the legacy
-// Options surface. It is an exact-compatibility shim: one service shard,
-// so Workers and QueueCap mean what they always did, and Shards/PerShard
-// remain the cache geometry.
-//
-// Deprecated: use Open with functional options.
-func New(m *vm.Machine, opt Options) *Service {
-	cfg := defaultConfig()
-	if opt.Workers > 0 {
-		cfg.workers = opt.Workers
-	}
-	if opt.QueueCap > 0 {
-		cfg.queueCap = opt.QueueCap
-	}
-	if opt.Shards > 0 {
-		cfg.cacheShards = opt.Shards
-	}
-	if opt.PerShard > 0 {
-		cfg.cachePerShard = opt.PerShard
-	}
-	cfg.manager = opt.Manager
-	cfg.policy = opt.Policy
-	cfg.promoteAfter = opt.PromoteAfter
-	cfg.store = opt.Store
-	cfg.drainTimeout = opt.PersistDrainTimeout
 	return open(m, cfg)
 }

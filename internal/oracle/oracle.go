@@ -76,10 +76,10 @@ type Case struct {
 	// relies on the final-memory comparison only. Needed for rewrites that
 	// legitimately restructure stores (e.g. vectorization).
 	SkipStoreOrder bool
-	// Degrade uses brew.RewriteOrDegrade instead of Rewrite: a rewrite
-	// failure is no longer a skip but a degraded result addressing the
-	// original function, and the differential check then verifies the
-	// degraded path is a faithful drop-in too. Combined with Inject this
+	// Degrade runs brew.Do under ModeDegrade: a rewrite failure is no
+	// longer a skip but a degraded result addressing the original
+	// function, and the differential check then verifies the degraded path
+	// is a faithful drop-in too. Combined with Inject this
 	// cross-checks the fault-injected fallback paths.
 	Degrade bool
 	// Inject, when non-nil, is installed as the rewrite configuration's

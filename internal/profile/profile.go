@@ -1,7 +1,7 @@
 // Package profile implements the value-profiling support the paper's
 // Section III.D builds guarded specialization on: observe the arguments a
-// function is called with, find stable values, and feed them to
-// brew.RewriteGuarded.
+// function is called with, find stable values, and feed them to brew.Do
+// as Request.Guards.
 package profile
 
 import (
@@ -139,7 +139,7 @@ func (p *FuncProfile) Top(i, n int) []ValueFreq {
 
 // StableParams returns the 1-based indices of parameters whose hottest
 // value covers at least threshold of all profiled calls; the natural
-// guard set for brew.RewriteGuarded.
+// guard set for a guarded brew.Do (Request.Guards).
 func (p *FuncProfile) StableParams(threshold float64) []int {
 	var out []int
 	for i := 1; i <= p.nparams; i++ {

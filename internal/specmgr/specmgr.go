@@ -117,7 +117,7 @@ type Entry struct {
 	fargs  []float64
 	guards []brew.ParamGuard
 
-	pending    bool // adopted, awaiting Promote (stub routes to fn meanwhile)
+	pending    bool // adopted, awaiting its first install (stub routes to fn meanwhile)
 	degraded   bool // specialization failed; running the original
 	deopted    bool
 	reason     string // last deopt (or degradation) reason
@@ -210,12 +210,13 @@ func (g *Manager) SpecializeGuarded(cfg *brew.Config, fn uint64, guards []brew.P
 // AdoptPending creates a detached pending entry for a rewrite that has not
 // run yet: the entry's stub is installed routing to the original function,
 // so callers can take its Addr immediately and run at generic speed until
-// Promote hot-patches the stub to the specialized code ("rewrite-behind" —
-// the hot path never blocks on a trace). Detached entries do not occupy the
-// per-function slot in the manager's table, so several specializations of
-// the same function can be co-resident (the service cache keeps one entry
-// per (fn, config fingerprint, guard-set) key); they are exempt from
-// MaxLive eviction and are released explicitly via Release.
+// InstallVariant hot-patches the stub to the specialized code
+// ("rewrite-behind" — the hot path never blocks on a trace). Detached
+// entries do not occupy the per-function slot in the manager's table, so
+// several specializations of the same function can be co-resident (the
+// service cache keeps one entry per (fn, config fingerprint, guard-set)
+// key); they are exempt from MaxLive eviction and are released explicitly
+// via Release.
 //
 // cfg, args and fargs are retained for respecialization and must not be
 // mutated by the caller afterwards.
@@ -228,84 +229,6 @@ func (g *Manager) AdoptPending(cfg *brew.Config, fn uint64, args []uint64, fargs
 	// routes to fn directly and installs can only degrade it.
 	e.stub, _ = g.installStub(fn)
 	return e
-}
-
-// Promote completes a pending entry with the outcome of its rewrite
-// (typically produced by a brewsvc worker via brew.Do under ModeDegrade),
-// installing it as the entry's first — primary — variant. On success the
-// stub is atomically patched to the specialized code (directly, or through
-// the dispatch chain for guarded outcomes) and the assumption watchpoints
-// are armed; every caller holding the entry's Addr switches to the
-// specialization at the next emulated fetch. On a degraded outcome — or
-// when the entry was released or lost its stub while the rewrite ran —
-// the fresh code is freed and the entry stays at generic speed. Promote
-// reports whether the entry now runs specialized code.
-func (g *Manager) Promote(e *Entry, out *brew.Outcome, rerr error) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if !e.pending {
-		return false
-	}
-	e.pending = false
-
-	if e.released {
-		freeOutcome(g.m, out)
-		return false
-	}
-	if out == nil || out.Degraded || rerr != nil {
-		freeOutcome(g.m, out) // defensive: a degraded outcome carries no code
-		e.degraded = true
-		if out != nil && out.Reason != "" {
-			e.reason = out.Reason
-		} else if rerr != nil {
-			e.reason = brew.DegradeReason(rerr)
-		}
-		publishDegrade(e, e.reason)
-		return false
-	}
-	if e.stub == 0 {
-		// Nowhere to hot-install: without a patchable stub the handed-out
-		// Addr is the original function forever.
-		freeOutcome(g.m, out)
-		e.degraded = true
-		e.reason = brew.ReasonCodeBuffer
-		publishDegrade(e, e.reason)
-		return false
-	}
-	v := g.installOutcomeLocked(e, e.cfg, e.guards, e.args, e.fargs, out)
-	if v == nil {
-		publishDegrade(e, e.reason)
-		return false
-	}
-	e.primary = v
-	g.clock++
-	e.lastUse = g.clock
-	mSpecializations.Inc()
-	return true
-}
-
-// Repromote hot-swaps the entry's primary variant for the outcome of a
-// re-rewrite at a different effort — the tier-promotion path: a brewsvc
-// background worker re-rewrites a hot tier-0 variant at brew.EffortFull
-// and installs the optimized body here. It is RepromoteVariant applied to
-// the primary variant; cfg on success replaces the entry's retained
-// configuration (so later respecializations stay at the promoted tier).
-//
-// The swap is refused — and the fresh code freed — when the entry was
-// released, deopted, degraded, or still pending while the rewrite ran, or
-// when the outcome itself is degraded: the entry then keeps serving
-// whatever it served before, so a failed promotion is never worse than no
-// promotion. Like every rewrite, the call requires that the machine is
-// not executing emulated code (the old body may not be freed out from
-// under the emulated call stack).
-func (g *Manager) Repromote(e *Entry, cfg *brew.Config, out *brew.Outcome, rerr error) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if e.released || e.pending || e.deopted || e.degraded || e.primary == nil || !e.primary.live {
-		freeOutcome(g.m, out)
-		return false
-	}
-	return g.repromoteVariantLocked(e, e.primary, cfg, out, rerr)
 }
 
 // registerNew installs the stub and inserts the fresh entry, evicting over
@@ -419,8 +342,8 @@ func (e *Entry) Degraded() bool {
 	return e.degraded && !e.pending
 }
 
-// Pending reports whether the entry awaits Promote (AdoptPending); its Addr
-// routes to the original function until then.
+// Pending reports whether the entry awaits its first InstallVariant
+// (AdoptPending); its Addr routes to the original function until then.
 func (e *Entry) Pending() bool {
 	e.mgr.mu.Lock()
 	defer e.mgr.mu.Unlock()

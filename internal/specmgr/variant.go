@@ -139,11 +139,12 @@ func guardsEqual(a, b []brew.ParamGuard) bool {
 
 // InstallVariant installs the outcome of a rewrite as one variant of e's
 // table, keyed on guards (nil guards install the unconditional variant).
-// It is the multi-version generalization of Promote: it does not require
-// the entry to be pending (it clears a pending state, and revives a
-// degraded or deopted entry), a same-key install replaces that variant's
-// body, and installing over Policy.MaxVariants evicts the coldest
-// variant. On a degraded outcome — or when the entry was released or has
+// On a pending entry (AdoptPending) it completes the rewrite-behind: the
+// first successful install becomes the primary variant, and every caller
+// holding the entry's Addr switches to it at the next emulated fetch. It
+// also revives a degraded or deopted entry, a same-key install replaces
+// that variant's body, and installing over Policy.MaxVariants evicts the
+// coldest variant. On a degraded outcome — or when the entry was released or has
 // no stub — the fresh code is freed and the table is untouched. Like
 // every install it requires an idle machine (the rewrite contract).
 func (g *Manager) InstallVariant(e *Entry, cfg *brew.Config, guards []brew.ParamGuard, args []uint64, fargs []float64, out *brew.Outcome, rerr error) (*Variant, bool) {
@@ -197,10 +198,14 @@ func (g *Manager) InstallVariant(e *Entry, cfg *brew.Config, guards []brew.Param
 
 // RepromoteVariant hot-swaps one live variant's body for the outcome of a
 // re-rewrite at a different effort — tier promotion at variant
-// granularity. The swap is refused (and the fresh code freed) when the
-// entry was released or pending, the variant was demoted or evicted while
-// the rewrite ran, or the outcome is degraded: the variant then keeps
-// serving what it served before. Requires an idle machine.
+// granularity. A non-nil cfg replaces the variant's retained
+// configuration (and the entry's, for the primary variant), so later
+// respecializations stay at the promoted tier. The swap is refused (and
+// the fresh code freed) when the entry was released or pending, the
+// variant was demoted or evicted while the rewrite ran — a deopted or
+// degraded entry has no live variant — or the outcome is degraded: the
+// variant then keeps serving what it served before. Requires an idle
+// machine.
 func (g *Manager) RepromoteVariant(e *Entry, v *Variant, cfg *brew.Config, out *brew.Outcome, rerr error) bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -263,7 +268,7 @@ func (g *Manager) RemoveVariant(e *Entry, v *Variant) {
 	g.compactLocked(e)
 }
 
-// installOutcomeLocked is the install core shared by Specialize, Promote,
+// installOutcomeLocked is the install core shared by Specialize,
 // InstallVariant and respecialization: it adopts the outcome's body as a
 // (new or same-key replacement) variant, applies the per-table LRU bound,
 // rebuilds the dispatch chain and arms the assumption watchpoints.

@@ -3,9 +3,10 @@
 // so that the disabled path costs one atomic load and zero allocations.
 // Instrumented packages (vm, cache, brew, pgas) hold *Counter handles and
 // call Add/Inc unconditionally; until Enable() is called every update is a
-// no-op, so the emulator hot path and Rewrite stay at their uninstrumented
-// cost. Snapshots are deterministic: instruments are reported in sorted
-// name order so two identical runs render byte-identical text and JSON.
+// no-op, so the emulator hot path and the rewriter stay at their
+// uninstrumented cost. Snapshots are deterministic: instruments are
+// reported in sorted name order so two identical runs render
+// byte-identical text and JSON.
 package telemetry
 
 import (

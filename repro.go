@@ -6,7 +6,7 @@
 //
 // It provides programmer-controlled binary rewriting at runtime: given a
 // compiled function and a configuration declaring which parameters and
-// memory regions are fixed, Rewrite produces a specialized drop-in
+// memory regions are fixed, Do produces a specialized drop-in
 // replacement — partial evaluation, inlining and controlled loop unrolling
 // over machine code.
 //
@@ -139,30 +139,11 @@ func (s *System) LoadAsm(src string) (*asm.Image, error) {
 	return asm.Load(s.VM, src)
 }
 
-// Do runs one specialization request through the unified rewrite entry
-// point: plain, guarded (Request.Guards), or never-failing
-// (Request.Mode = ModeDegrade). The returned Outcome.Addr is always a
+// Do runs one specialization request, the paper's brew_rewrite: plain,
+// guarded (Request.Guards), or never-failing (Request.Mode = ModeDegrade). The returned Outcome.Addr is always a
 // drop-in replacement for the requested function.
 func (s *System) Do(req *Request) (*Outcome, error) {
 	return brew.Do(s.VM, req)
-}
-
-// Rewrite generates a specialized drop-in replacement for the function at
-// fn (the paper's brew_rewrite). args/fargs supply the emulated call's
-// parameter setting; only parameters declared known in cfg are consulted.
-//
-// Deprecated: use Do with a Request.
-func (s *System) Rewrite(cfg *Config, fn uint64, args []uint64, fargs []float64) (*Result, error) {
-	return brew.Rewrite(s.VM, cfg, fn, args, fargs)
-}
-
-// RewriteGuarded generates a guarded specialization: a dispatcher checking
-// the guards, the specialized body, and fallback to the original
-// (Section III.D's profile-driven variant generation).
-//
-// Deprecated: use Do with Request.Guards.
-func (s *System) RewriteGuarded(cfg *Config, fn uint64, guards []ParamGuard, args []uint64, fargs []float64) (*GuardedResult, error) {
-	return brew.RewriteGuarded(s.VM, cfg, fn, guards, args, fargs)
 }
 
 // Call invokes a function through the VX64 ABI with integer arguments and
@@ -202,17 +183,4 @@ func (s *System) WriteF64Slice(addr uint64, vals []float64) error {
 // ReadF64Slice loads n float64 values starting at addr.
 func (s *System) ReadF64Slice(addr uint64, n int) ([]float64, error) {
 	return s.VM.ReadF64Slice(addr, n)
-}
-
-// BatchRequest is one rewrite in a RewriteBatch call.
-type BatchRequest = brew.BatchRequest
-
-// RewriteBatch performs several independent rewrites concurrently
-// (tracing only reads machine memory; installation is serialized). The
-// machine must not execute code while the batch runs.
-//
-// Deprecated: use Do per request, or internal/brewsvc for a long-lived
-// concurrent specialization service with coalescing and caching.
-func (s *System) RewriteBatch(reqs []BatchRequest) ([]*Result, []error) {
-	return brew.RewriteBatch(s.VM, reqs)
 }

@@ -13,6 +13,33 @@ go build ./...
 echo "== go vet ./..."
 go vet ./...
 
+# The -run patterns of the passes below. Each alternative must select at
+# least one test: a renamed test must fail here, not drop out of its pass.
+FREEZE_RUN='TestFreezeNet$|TestFreezeNetUnderCollisions|TestLayoutTwoBases'
+BREW_RACE_RUN='TestRewriteBatch|TestConcurrentDo|TestGenerated|TestOracle|TestCompareMemory|TestRollback'
+LOCKSTAT_RUN='TestWarmPathZeroLocks|TestShardRouting|TestCrossShardIsolation|TestSubmitBatch|TestAdmission'
+
+# require_tests PATTERN [go test flags] PACKAGE...: fail unless every
+# |-separated alternative of PATTERN lists at least one test.
+require_tests() {
+    pattern=$1
+    shift
+    rest=$pattern
+    while [ -n "$rest" ]; do
+        alt=${rest%%|*}
+        case $rest in *"|"*) rest=${rest#*|} ;; *) rest= ;; esac
+        if ! go test -list "$alt" "$@" | grep -q '^Test'; then
+            echo "verify: FAIL — -run alternative '$alt' selects no test in $*" >&2
+            exit 1
+        fi
+    done
+}
+
+echo "== -run patterns select tests"
+require_tests "$FREEZE_RUN" ./internal/brew/
+require_tests "$BREW_RACE_RUN" ./internal/brew/ ./internal/oracle/
+require_tests "$LOCKSTAT_RUN" -tags brewsvc_lockstat ./internal/brewsvc/
+
 echo "== go test ./..."
 go test ./...
 
@@ -23,7 +50,7 @@ go test ./...
 # check. Regenerating the golden must reproduce the committed file byte for
 # byte — a rewriter whose output moved fails here, not at review.
 echo "== brew freeze net (committed goldens, -update leaves no diff)"
-go test -count=1 -run 'TestFreezeNet$|TestFreezeNetUnderCollisions|TestLayoutTwoBases' ./internal/brew/
+go test -count=1 -run "$FREEZE_RUN" ./internal/brew/
 GOLDEN=internal/brew/testdata/freeze.golden
 GOLDEN_KEPT="$(mktemp)"
 cp "$GOLDEN" "$GOLDEN_KEPT"
@@ -49,13 +76,13 @@ if [ "${RACE:-1}" = 1 ]; then
     echo "== go test -race (short budget: vm, mem, cache)"
     go test -race -short ./internal/vm/ ./internal/mem/ ./internal/cache/
     # Short-budget race pass over the packages with real concurrency:
-    # RewriteBatch workers, eight concurrent Do on one machine
+    # goroutines calling Do side by side (TestRewriteBatch*), eight
+    # concurrent Do of one request on one machine
     # (TestConcurrentDo), the oracle's window bookkeeping, and the
     # lock-free telemetry registry (full package: it is small and heavily
     # atomic).
     echo "== go test -race (short budget: brew, oracle, telemetry)"
-    go test -race -short -run 'TestRewriteBatch|TestConcurrentDo|TestGenerated|TestOracle|TestCompareMemory|TestRollback' \
-        ./internal/brew/ ./internal/oracle/
+    go test -race -short -run "$BREW_RACE_RUN" ./internal/brew/ ./internal/oracle/
     go test -race ./internal/telemetry/
     # The specialization manager and fault injector are concurrency-bearing
     # by design (watchpoint handlers, eviction racing respecialization);
@@ -76,9 +103,7 @@ if [ "${RACE:-1}" = 1 ]; then
     # hits take zero service locks, with the sharding/admission suite
     # riding along under the same tag.
     echo "== go test -race (brewsvc, counted mutex)"
-    go test -race -short -tags brewsvc_lockstat \
-        -run 'TestWarmPathZeroLocks|TestShardRouting|TestCrossShardIsolation|TestSubmitBatch|TestAdmission' \
-        ./internal/brewsvc/
+    go test -race -short -tags brewsvc_lockstat -run "$LOCKSTAT_RUN" ./internal/brewsvc/
     # The observability layer is lock-free by construction (ring-buffer
     # flight recorder, atomic span gating): full suite under -race,
     # including the concurrent ring-wrap writers and the disabled-path
@@ -93,22 +118,6 @@ if [ "${RACE:-1}" = 1 ]; then
     # trip (-short caps the brewsvc persist chaos at 120 injected faults).
     echo "== go test -race (spstore)"
     go test -race ./internal/spstore/
-fi
-
-# API-migration lint: commands and examples must use the unified brew.Do /
-# service entry points, not the deprecated wrappers.
-echo "== deprecated rewrite API lint (cmd/, examples/)"
-if grep -rnE '\.(Rewrite|RewriteBatch|RewriteGuarded|RewriteOrDegrade)\(' cmd/ examples/; then
-    echo "verify: FAIL — cmd/ or examples/ call deprecated rewrite entry points (use Do)" >&2
-    exit 1
-fi
-# First-party code opens the service with brewsvc.Open(m, opts...); the
-# deprecated brewsvc.New(m, Options{...}) shim exists only for external
-# callers mid-migration.
-echo "== deprecated brewsvc.New lint (cmd/, examples/)"
-if grep -rnE 'brewsvc\.New\(' cmd/ examples/; then
-    echo "verify: FAIL — first-party code calls deprecated brewsvc.New (use brewsvc.Open)" >&2
-    exit 1
 fi
 
 # Fallback-path smoke: fault-injected rewrites must degrade to the
