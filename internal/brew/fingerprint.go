@@ -1,7 +1,8 @@
 package brew
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 )
 
@@ -76,43 +77,47 @@ func (c *Config) Fingerprint() uint64 {
 		h.byte(byte(class))
 	}
 
+	// The sorted copies below live in stack buffers, so an ordinary
+	// configuration fingerprints without allocating; longer lists spill to
+	// the heap. The order and the bytes hashed are those of a sort by
+	// value, so the fingerprint is independent of how the lists were built.
 	h.tag("ranges")
-	ranges := append([]MemRange(nil), c.knownRanges...)
-	sort.Slice(ranges, func(i, j int) bool {
-		if ranges[i].Start != ranges[j].Start {
-			return ranges[i].Start < ranges[j].Start
+	var rangeBuf [8]MemRange
+	ranges := append(rangeBuf[:0], c.knownRanges...)
+	slices.SortFunc(ranges, func(a, b MemRange) int {
+		if a.Start != b.Start {
+			return cmp.Compare(a.Start, b.Start)
 		}
-		return ranges[i].End < ranges[j].End
+		return cmp.Compare(a.End, b.End)
 	})
-	var prev MemRange
 	for i, r := range ranges {
-		if i > 0 && r == prev {
+		if i > 0 && r == ranges[i-1] {
 			continue // duplicates declare nothing new
 		}
 		h.u64(r.Start)
 		h.u64(r.End)
-		prev = r
 	}
 
 	h.tag("funcopts")
-	addrs := make([]uint64, 0, len(c.funcOpts))
+	var addrBuf [16]uint64
+	addrs := addrBuf[:0]
 	for a := range c.funcOpts {
 		addrs = append(addrs, a)
 	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
+	slices.Sort(addrs)
 	for _, a := range addrs {
 		h.u64(a)
 		h.funcOpts(c.funcOpts[a])
 	}
 
 	h.tag("dyn")
-	marks := make([]uint64, 0, len(c.dynMarkers))
+	marks := addrBuf[:0] // the function addresses are hashed; reuse their buffer
 	for a, on := range c.dynMarkers {
 		if on {
 			marks = append(marks, a)
 		}
 	}
-	sort.Slice(marks, func(i, j int) bool { return marks[i] < marks[j] })
+	slices.Sort(marks)
 	for _, a := range marks {
 		h.u64(a)
 	}

@@ -1,8 +1,9 @@
 package brewsvc
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/brew"
 	"repro/internal/isa"
@@ -57,27 +58,6 @@ func mixKnownParams(h uint64, req *Request) uint64 {
 	return h
 }
 
-// keyOf computes the request's cache key. Guards contribute
-// order-independently.
-func keyOf(req *Request) cacheKey {
-	h := mixKnownParams(keyOffset64, req)
-	if len(req.Guards) > 0 {
-		gs := append([]brew.ParamGuard(nil), req.Guards...)
-		sort.Slice(gs, func(i, j int) bool {
-			if gs[i].Param != gs[j].Param {
-				return gs[i].Param < gs[j].Param
-			}
-			return gs[i].Value < gs[j].Value
-		})
-		h = keyMix(h, uint64(len(gs))|1<<33)
-		for _, g := range gs {
-			h = keyMix(h, uint64(g.Param))
-			h = keyMix(h, g.Value)
-		}
-	}
-	return cacheKey{fn: req.Fn, cfg: req.Config.Fingerprint(), vals: h}
-}
-
 // entryKey identifies one variant-table entry: the function, the
 // configuration fingerprint (which includes the effort tier), the known
 // non-guard parameter values, and the SET of guarded parameters — but not
@@ -91,22 +71,35 @@ type entryKey struct {
 	vals uint64 // hash of known-parameter values and the guard param set
 }
 
-// entryKeyOf computes the request's entry key. Unguarded requests get one
-// entry per cache key, the pre-variant behavior.
-func entryKeyOf(req *Request) entryKey {
-	h := mixKnownParams(keyOffset64, req)
-	if len(req.Guards) > 0 {
-		params := make([]int, 0, len(req.Guards))
-		for _, g := range req.Guards {
-			params = append(params, g.Param)
-		}
-		sort.Ints(params)
-		h = keyMix(h, uint64(len(params))|1<<34)
-		for _, p := range params {
-			h = keyMix(h, uint64(p))
+// keysOf computes the request's cache key and entry key in one pass: one
+// Fingerprint, one fold of the known parameters, one sort of the guards.
+// Guards contribute order-independently: the cache key hashes them sorted
+// by (param, value), the entry key hashes the param sequence of that same
+// order. Unguarded requests get one entry per cache key, the pre-variant
+// behavior. Up to 8 guards sort in a stack buffer, so a warm hit derives
+// its keys without allocating.
+func keysOf(req *Request) (cacheKey, entryKey) {
+	cfg := req.Config.Fingerprint()
+	vals := mixKnownParams(keyOffset64, req)
+	k := cacheKey{fn: req.Fn, cfg: cfg, vals: vals}
+	ek := entryKey{fn: req.Fn, cfg: cfg, vals: vals}
+	if n := len(req.Guards); n > 0 {
+		var buf [8]brew.ParamGuard
+		gs := append(buf[:0], req.Guards...)
+		slices.SortFunc(gs, func(a, b brew.ParamGuard) int {
+			if a.Param != b.Param {
+				return cmp.Compare(a.Param, b.Param)
+			}
+			return cmp.Compare(a.Value, b.Value)
+		})
+		k.vals = keyMix(k.vals, uint64(n)|1<<33)
+		ek.vals = keyMix(ek.vals, uint64(n)|1<<34)
+		for _, g := range gs {
+			k.vals = keyMix(keyMix(k.vals, uint64(g.Param)), g.Value)
+			ek.vals = keyMix(ek.vals, uint64(g.Param))
 		}
 	}
-	return entryKey{fn: req.Fn, cfg: req.Config.Fingerprint(), vals: h}
+	return k, ek
 }
 
 // hash folds the key into one word for shard selection.

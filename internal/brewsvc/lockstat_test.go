@@ -7,9 +7,10 @@ import (
 )
 
 // TestWarmPathZeroLocks is the lock-free serve-path acceptance test: once
-// a key is cached, Submit serves it from the immutable cache snapshot
-// without acquiring ANY service lock. It needs the counted-mutex build —
-// run with
+// a key is cached, Do, Submit and an all-hit SubmitBatch serve it from the
+// immutable cache snapshot without acquiring ANY service lock, for an
+// unguarded key and for a guarded one (the serve-warm shape). It needs the
+// counted-mutex build — run with
 //
 //	go test -tags brewsvc_lockstat ./internal/brewsvc/
 //
@@ -20,37 +21,36 @@ func TestWarmPathZeroLocks(t *testing.T) {
 		t.Skip("lock accounting disabled; build with -tags brewsvc_lockstat")
 	}
 
-	m, w := newStencil(t)
-	svc := brewsvc.Open(m, brewsvc.WithWorkers(2))
+	svc, plain, guarded := warmKeys(t)
 	defer svc.Close()
+	batch := []*brewsvc.Request{plain, guarded, plain, guarded}
 
-	cfg, args := w.ApplyConfig()
-	seed := svc.Do(&brewsvc.Request{Config: cfg, Fn: w.Apply, Args: args})
-	if seed.Degraded {
-		t.Fatalf("seed trace degraded: %s (%v)", seed.Reason, seed.Err)
-	}
-
-	// Settle: one warm hit, then snapshot the global acquisition counter.
-	cfg, args = w.ApplyConfig()
-	if out := svc.Do(&brewsvc.Request{Config: cfg, Fn: w.Apply, Args: args}); !out.CacheHit {
-		t.Fatal("second submit missed the cache")
-	}
+	// warmKeys already served each key once from the cache; snapshot the
+	// global acquisition counter from here.
 	before, _ := brewsvc.LockAcquisitions()
 
-	const hits = 1000
-	for i := 0; i < hits; i++ {
-		cfg, args := w.ApplyConfig()
-		out := svc.Do(&brewsvc.Request{Config: cfg, Fn: w.Apply, Args: args})
-		if out.Degraded {
-			t.Fatalf("hit %d degraded: %s (%v)", i, out.Reason, out.Err)
+	const rounds = 250
+	for i := 0; i < rounds; i++ {
+		for _, req := range []*brewsvc.Request{plain, guarded} {
+			out := svc.Do(req)
+			if out.Degraded || !out.CacheHit {
+				t.Fatalf("Do round %d: degraded=%v cache_hit=%v (%v)", i, out.Degraded, out.CacheHit, out.Err)
+			}
+			out, ok := svc.Submit(req).TryOutcome()
+			if !ok || out.Degraded || !out.CacheHit {
+				t.Fatalf("Submit round %d: done=%v degraded=%v cache_hit=%v (%v)", i, ok, out.Degraded, out.CacheHit, out.Err)
+			}
 		}
-		if !out.CacheHit {
-			t.Fatalf("hit %d was not served from the cache", i)
+		for j, tk := range svc.SubmitBatch(batch) {
+			out, ok := tk.TryOutcome()
+			if !ok || out.Degraded || !out.CacheHit {
+				t.Fatalf("SubmitBatch round %d, request %d: done=%v degraded=%v cache_hit=%v (%v)", i, j, ok, out.Degraded, out.CacheHit, out.Err)
+			}
 		}
 	}
 
 	after, _ := brewsvc.LockAcquisitions()
 	if after != before {
-		t.Fatalf("warm serve path acquired %d service locks over %d hits, want 0", after-before, hits)
+		t.Fatalf("warm serve path acquired %d service locks over %d rounds, want 0", after-before, rounds)
 	}
 }
