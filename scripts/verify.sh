@@ -18,6 +18,7 @@ go vet ./...
 FREEZE_RUN='TestFreezeNet$|TestFreezeNetUnderCollisions|TestLayoutTwoBases'
 BREW_RACE_RUN='TestRewriteBatch|TestConcurrentDo|TestGenerated|TestOracle|TestCompareMemory|TestRollback'
 LOCKSTAT_RUN='TestWarmPathZeroLocks|TestShardRouting|TestCrossShardIsolation|TestSubmitBatch|TestAdmission'
+WARM_RUN='TestFingerprintFreeze|TestKeyFreeze|TestWarmHitAllocs'
 
 # require_tests PATTERN [go test flags] PACKAGE...: fail unless every
 # |-separated alternative of PATTERN lists at least one test.
@@ -39,6 +40,7 @@ echo "== -run patterns select tests"
 require_tests "$FREEZE_RUN" ./internal/brew/
 require_tests "$BREW_RACE_RUN" ./internal/brew/ ./internal/oracle/
 require_tests "$LOCKSTAT_RUN" -tags brewsvc_lockstat ./internal/brewsvc/
+require_tests "$WARM_RUN" ./internal/brew/ ./internal/brewsvc/
 
 echo "== go test ./..."
 go test ./...
@@ -62,6 +64,14 @@ if ! cmp -s "$GOLDEN" "$GOLDEN_KEPT"; then
     exit 1
 fi
 rm -f "$GOLDEN_KEPT"
+
+# The warm serve path's freeze net and allocation budget, by name: the
+# configuration fingerprints and the service keys (cache key, entry key,
+# shard) over seeded populations against their committed goldens — a moved
+# value re-routes shards, cache evictions and store keys — and the
+# zero-allocation Do hit (TestWarmHitAllocs).
+echo "== warm-path key freeze net and allocation budget"
+go test -count=1 -run "$WARM_RUN" ./internal/brew/ ./internal/brewsvc/
 
 # The benchmark is a module of its own (bench/go.mod), so the line above
 # does not descend into it.
