@@ -18,7 +18,7 @@
 //     shard, reclaimed through the specialization manager on eviction)
 //     whose hit path is lock-free: readers walk an immutable map snapshot
 //     behind an atomic pointer, so a warm hit takes zero service locks
-//     end to end (verified by the brewsvc_lockstat build, lockstat.go).
+//     end to end (verified by the brewsvc_lockstat build, internal/lockstat).
 //
 // Multi-version specialization: guarded requests that differ only in
 // their guard values share one specmgr entry (keyed by entryKey — the
@@ -67,6 +67,7 @@ import (
 	"time"
 
 	"repro/internal/brew"
+	"repro/internal/lockstat"
 	"repro/internal/obs"
 	"repro/internal/specmgr"
 	"repro/internal/telemetry"
@@ -336,7 +337,7 @@ type shard struct {
 	s  *Service
 	id int
 
-	mu       svcMutex
+	mu       lockstat.Mutex
 	cond     *sync.Cond
 	q        *queue
 	inflight map[cacheKey]*flight

@@ -3,6 +3,7 @@ package brewsvc
 import (
 	"sync/atomic"
 
+	"repro/internal/lockstat"
 	"repro/internal/specmgr"
 )
 
@@ -21,8 +22,8 @@ type cacheVal struct {
 // snapshot behind an atomic pointer. The hit path is LOCK-FREE: get
 // loads the snapshot, looks the key up, and bumps two atomics (the shard
 // clock and the slot's last-use stamp) — it never acquires a mutex, so a
-// warm hit takes zero service locks (the E10f bar, lockstat.go). Writers
-// (put, remove, drain) serialize on the shard's svcMutex and publish a
+// warm hit takes zero service locks (the E10f bar, internal/lockstat).
+// Writers (put, remove, drain) serialize on the shard's mutex and publish a
 // fresh copied map; shards hold at most perShard entries, so the
 // copy-on-write cost is small and off the serve path (put follows a
 // multi-millisecond trace). Writer locks are leaves: nothing is acquired
@@ -33,7 +34,7 @@ type cache struct {
 }
 
 type cacheShard struct {
-	mu       svcMutex // writers only; readers go through snap
+	mu       lockstat.Mutex // writers only; readers go through snap
 	perShard int
 	snap     atomic.Pointer[map[cacheKey]*cacheEnt]
 	clock    atomic.Uint64

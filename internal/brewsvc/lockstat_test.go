@@ -4,20 +4,23 @@ import (
 	"testing"
 
 	"repro/internal/brewsvc"
+	"repro/internal/lockstat"
 )
 
 // TestWarmPathZeroLocks is the lock-free serve-path acceptance test: once
 // a key is cached, Do, Submit and an all-hit SubmitBatch serve it from the
-// immutable cache snapshot without acquiring ANY service lock, for an
-// unguarded key and for a guarded one (the serve-warm shape). It needs the
-// counted-mutex build — run with
+// immutable cache snapshot without acquiring ANY lock — no service lock
+// and no specialization-manager lock (the hit reads the entry's address
+// and its variant's liveness through atomics) — for an unguarded key and
+// for a guarded one (the serve-warm shape). It needs the counted-mutex
+// build — run with
 //
 //	go test -tags brewsvc_lockstat ./internal/brewsvc/
 //
 // and is skipped otherwise (the default build's mutex is a plain
 // sync.Mutex with no counter).
 func TestWarmPathZeroLocks(t *testing.T) {
-	if _, ok := brewsvc.LockAcquisitions(); !ok {
+	if _, ok := lockstat.Acquisitions(); !ok {
 		t.Skip("lock accounting disabled; build with -tags brewsvc_lockstat")
 	}
 
@@ -27,7 +30,7 @@ func TestWarmPathZeroLocks(t *testing.T) {
 
 	// warmKeys already served each key once from the cache; snapshot the
 	// global acquisition counter from here.
-	before, _ := brewsvc.LockAcquisitions()
+	before, _ := lockstat.Acquisitions()
 
 	const rounds = 250
 	for i := 0; i < rounds; i++ {
@@ -49,8 +52,8 @@ func TestWarmPathZeroLocks(t *testing.T) {
 		}
 	}
 
-	after, _ := brewsvc.LockAcquisitions()
+	after, _ := lockstat.Acquisitions()
 	if after != before {
-		t.Fatalf("warm serve path acquired %d service locks over %d rounds, want 0", after-before, rounds)
+		t.Fatalf("warm serve path acquired %d locks over %d rounds, want 0", after-before, rounds)
 	}
 }

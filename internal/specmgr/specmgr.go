@@ -29,11 +29,11 @@ package specmgr
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/brew"
 	"repro/internal/isa"
+	"repro/internal/lockstat"
 	"repro/internal/obs"
 	"repro/internal/vm"
 )
@@ -82,7 +82,7 @@ type Manager struct {
 	m   *vm.Machine
 	pol Policy
 
-	mu      sync.Mutex
+	mu      lockstat.Mutex
 	entries map[uint64]*Entry // original entry address -> live entry
 	clock   uint64
 }
@@ -103,8 +103,12 @@ type Entry struct {
 	hotCalls   atomic.Uint64
 	hotSamples atomic.Uint64
 
+	// stub is the patchable JMP, 0 if stub allocation failed. Written
+	// under mgr.mu (or before the entry is published); Addr reads it
+	// without the lock.
+	stub atomic.Uint64
+
 	// Everything below is guarded by mgr.mu.
-	stub     uint64         // patchable JMP, 0 if stub allocation failed
 	variants []*Variant     // live variants, chain dispatch order
 	retired  []*Variant     // demoted/evicted, code pending idle-point reclaim
 	chain    *dispatchChain // inline-cache dispatcher, nil when no guarded variant
@@ -148,7 +152,7 @@ func (e *Entry) Hotness() (calls, samples uint64) {
 func (e *Entry) Tier() brew.Effort {
 	e.mgr.mu.Lock()
 	defer e.mgr.mu.Unlock()
-	if p := e.primary; p != nil && p.live && !e.pending && !e.deopted && !e.degraded && !e.released {
+	if p := e.primary; p != nil && p.live.Load() && !e.pending && !e.deopted && !e.degraded && !e.released {
 		return p.tier
 	}
 	return brew.EffortFull
@@ -227,7 +231,8 @@ func (g *Manager) AdoptPending(cfg *brew.Config, fn uint64, args []uint64, fargs
 	}
 	// Stub failure (JIT space exhausted) leaves stub == 0: the entry then
 	// routes to fn directly and installs can only degrade it.
-	e.stub, _ = g.installStub(fn)
+	stub, _ := g.installStub(fn)
+	e.stub.Store(stub)
 	return e
 }
 
@@ -242,7 +247,7 @@ func (g *Manager) registerNew(e *Entry, out *brew.Outcome, rerr error) {
 	// fails, fall back to the original entry directly — the entry then
 	// cannot be specialized, only degraded.
 	stub, serr := g.installStub(e.fn)
-	e.stub = stub // 0 on failure
+	e.stub.Store(stub) // 0 on failure
 
 	g.mu.Lock()
 	switch {
@@ -316,16 +321,11 @@ func (g *Manager) patchJmp(at, target uint64) { g.patchStub(at, target) }
 
 // Addr returns the entry's stable address: callers may bake it into other
 // specializations or tables; demotion retargets them all through the
-// stub. It is the original function for fully degraded entries.
+// stub. It is the original function for fully degraded entries. It takes
+// no lock: the service's warm hit reads it.
 func (e *Entry) Addr() uint64 {
-	e.mgr.mu.Lock()
-	defer e.mgr.mu.Unlock()
-	return e.addrLocked()
-}
-
-func (e *Entry) addrLocked() uint64 {
-	if e.stub != 0 {
-		return e.stub
+	if stub := e.stub.Load(); stub != 0 {
+		return stub
 	}
 	return e.fn
 }
@@ -355,7 +355,7 @@ func (e *Entry) Pending() bool {
 func (e *Entry) Result() *brew.Result {
 	e.mgr.mu.Lock()
 	defer e.mgr.mu.Unlock()
-	if p := e.primary; p != nil && p.live && p.res != nil && !e.pending {
+	if p := e.primary; p != nil && p.live.Load() && p.res != nil && !e.pending {
 		return p.res
 	}
 	return &brew.Result{Addr: e.fn, Degraded: true}
@@ -376,7 +376,7 @@ func (e *Entry) Deopted() (bool, string) {
 func (e *Entry) Guarded() *brew.GuardedResult {
 	e.mgr.mu.Lock()
 	defer e.mgr.mu.Unlock()
-	if p := e.primary; p != nil && p.live {
+	if p := e.primary; p != nil && p.live.Load() {
 		return p.gr
 	}
 	return nil
@@ -451,7 +451,7 @@ func (e *Entry) prepare(args []uint64) (uint64, error) {
 		g.respecializeLocked(e) // drops and reacquires g.mu
 	}
 	e.noteDispatchLocked(g, args)
-	target := e.addrLocked()
+	target := e.Addr()
 	g.mu.Unlock()
 	return target, nil
 }
@@ -522,7 +522,7 @@ func (g *Manager) checkStorm(e *Entry) {
 	}
 	g.mu.Lock()
 	for _, v := range append([]*Variant(nil), e.variants...) {
-		if v.live && len(v.key) > 0 && v.gr.MissStreak() >= g.pol.GuardMissLimit {
+		if v.live.Load() && len(v.key) > 0 && v.gr.MissStreak() >= g.pol.GuardMissLimit {
 			emitVariant(obs.KindGuardStorm, e, v, DeoptGuardStorm)
 			g.demoteVariantLocked(e, v, DeoptGuardStorm)
 		}
@@ -611,7 +611,7 @@ func (g *Manager) releaseLocked(e *Entry) {
 	e.released = true
 	for _, v := range e.variants {
 		g.disarmVariantWatches(v)
-		v.live = false
+		v.live.Store(false)
 		if v.res != nil && !v.res.Degraded {
 			_ = g.m.FreeJIT(v.res.Addr)
 		}
@@ -631,9 +631,9 @@ func (g *Manager) releaseLocked(e *Entry) {
 		_ = g.m.FreeJIT(e.chain.addr)
 		e.chain = nil
 	}
-	if e.stub != 0 {
-		_ = g.m.FreeJIT(e.stub)
-		e.stub = 0
+	if stub := e.stub.Load(); stub != 0 {
+		e.stub.Store(0)
+		_ = g.m.FreeJIT(stub)
 	}
 }
 

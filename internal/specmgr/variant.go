@@ -24,6 +24,10 @@ type Variant struct {
 	hotCalls   atomic.Uint64
 	hotSamples atomic.Uint64
 
+	// live reports the variant dispatched to. Written under mgr.mu; Live
+	// reads it without the lock.
+	live atomic.Bool
+
 	// Everything below is guarded by mgr.mu.
 	key     []brew.ParamGuard // sorted guards; empty = unconditional
 	res     *brew.Result
@@ -33,7 +37,6 @@ type Variant struct {
 	fargs   []float64
 	watches []*vm.Watch
 	tier    brew.Effort
-	live    bool
 	lastUse uint64
 
 	// Inline-cache chain anchors: jmpAddr is this variant's "jmp body"
@@ -77,12 +80,9 @@ func (v *Variant) Key() []brew.ParamGuard {
 
 // Live reports whether the variant is still dispatched to. Demoted or
 // evicted variants stay false forever (a reinstall under the same key
-// creates a fresh Variant).
-func (v *Variant) Live() bool {
-	v.e.mgr.mu.Lock()
-	defer v.e.mgr.mu.Unlock()
-	return v.live
-}
+// creates a fresh Variant). It takes no lock: the service's warm hit
+// reads it.
+func (v *Variant) Live() bool { return v.live.Load() }
 
 // Result returns the variant's rewrite result (nil once the variant was
 // demoted and its body reclaimed).
@@ -173,7 +173,7 @@ func (g *Manager) InstallVariant(e *Entry, cfg *brew.Config, guards []brew.Param
 		publishDegrade(e, reason)
 		return nil, false
 	}
-	if e.stub == 0 {
+	if e.stub.Load() == 0 {
 		freeOutcome(g.m, out)
 		if !e.hasLiveLocked() {
 			e.degraded = true
@@ -187,7 +187,7 @@ func (g *Manager) InstallVariant(e *Entry, cfg *brew.Config, guards []brew.Param
 		publishDegrade(e, e.reason)
 		return nil, false
 	}
-	if wasPending || e.primary == nil || !e.primary.live {
+	if wasPending || e.primary == nil || !e.primary.live.Load() {
 		e.primary = v
 	}
 	g.clock++
@@ -213,7 +213,7 @@ func (g *Manager) RepromoteVariant(e *Entry, v *Variant, cfg *brew.Config, out *
 }
 
 func (g *Manager) repromoteVariantLocked(e *Entry, v *Variant, cfg *brew.Config, out *brew.Outcome, rerr error) bool {
-	if e.released || e.pending || v == nil || v.e != e || !v.live || e.stub == 0 ||
+	if e.released || e.pending || v == nil || v.e != e || !v.live.Load() || e.stub.Load() == 0 ||
 		out == nil || out.Degraded || rerr != nil {
 		freeOutcome(g.m, out)
 		return false
@@ -243,7 +243,7 @@ func (g *Manager) repromoteVariantLocked(e *Entry, v *Variant, cfg *brew.Config,
 	case len(v.key) == 0 && e.chain != nil:
 		g.patchJmp(e.chain.finalJmp, v.res.Addr)
 	default:
-		g.patchStub(e.stub, v.res.Addr)
+		g.patchStub(e.stub.Load(), v.res.Addr)
 	}
 	g.armVariantWatches(v)
 	g.clock++
@@ -259,7 +259,7 @@ func (g *Manager) repromoteVariantLocked(e *Entry, v *Variant, cfg *brew.Config,
 func (g *Manager) RemoveVariant(e *Entry, v *Variant) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if e.released || v == nil || !v.live {
+	if e.released || v == nil || !v.live.Load() {
 		return
 	}
 	g.demoteVariantLocked(e, v, DeoptEvicted)
@@ -304,7 +304,7 @@ func (g *Manager) installOutcomeLocked(e *Entry, cfg *brew.Config, guards []brew
 	v.res, v.gr = out.Result, gr
 	v.cfg, v.args, v.fargs = cfg, args, fargs
 	v.tier = cfg.Effort
-	v.live = true
+	v.live.Store(true)
 	g.clock++
 	v.lastUse = g.clock
 
@@ -325,7 +325,7 @@ func (g *Manager) installOutcomeLocked(e *Entry, cfg *brew.Config, guards []brew
 		}
 		_ = g.rebuildDispatchLocked(e) // chainless: pure stub patch, cannot fail
 		g.compactLocked(e)
-		if v.live { // v was the unconditional variant: still served
+		if v.live.Load() { // v was the unconditional variant: still served
 			g.armVariantWatches(v)
 			return v
 		}
@@ -361,14 +361,15 @@ func (g *Manager) rebuildDispatchLocked(e *Entry) error {
 			guarded = append(guarded, v)
 		}
 	}
-	if e.stub == 0 {
+	stub := e.stub.Load()
+	if stub == 0 {
 		return nil
 	}
 	if len(guarded) == 0 {
 		if uncond != nil {
-			g.patchStub(e.stub, uncond.res.Addr)
+			g.patchStub(stub, uncond.res.Addr)
 		} else {
-			g.patchStub(e.stub, e.fn)
+			g.patchStub(stub, e.fn)
 		}
 		return nil
 	}
@@ -459,7 +460,7 @@ func (g *Manager) rebuildDispatchLocked(e *Entry) error {
 		}
 	}
 	e.chain = &dispatchChain{addr: addr, size: size, finalJmp: addr + uint64(finalOff)}
-	g.patchStub(e.stub, addr)
+	g.patchStub(stub, addr)
 	return nil
 }
 
@@ -471,27 +472,28 @@ func (g *Manager) rebuildDispatchLocked(e *Entry) error {
 // (legacy single-variant semantics: stub to the original, lazy
 // respecialization eligible).
 func (g *Manager) demoteVariantLocked(e *Entry, v *Variant, reason string) {
-	if !v.live || e.released {
+	if !v.live.Load() || e.released {
 		return
 	}
-	v.live = false
+	v.live.Store(false)
 	g.disarmVariantWatches(v)
 	e.variants = removeFromVariants(e.variants, v)
 	e.retired = append(e.retired, v)
+	stub := e.stub.Load()
 	switch {
 	case len(v.key) > 0 && v.jmpAddr != 0:
 		g.patchJmp(v.jmpAddr, v.nextAddr)
 	case len(v.key) == 0 && e.chain != nil:
 		g.patchJmp(e.chain.finalJmp, e.fn)
-	case e.stub != 0:
-		g.patchStub(e.stub, e.fn)
+	case stub != 0:
+		g.patchStub(stub, e.fn)
 	}
 	v.jmpAddr, v.nextAddr = 0, 0
 	mVariantDemotions.Inc()
 	emitVariant(obs.KindVariantDemote, e, v, reason)
 	if !e.hasLiveLocked() && !e.pending && !e.degraded && !e.deopted {
-		if e.stub != 0 {
-			g.patchStub(e.stub, e.fn)
+		if stub != 0 {
+			g.patchStub(stub, e.fn)
 		}
 		e.deopted = true
 		e.respecDone = false
@@ -505,10 +507,10 @@ func (g *Manager) demoteVariantLocked(e *Entry, v *Variant, reason string) {
 // idle points where the caller rebuilds the dispatch chain (or releases
 // the entry) afterwards.
 func (g *Manager) retireVariantLocked(v *Variant) {
-	if !v.live {
+	if !v.live.Load() {
 		return
 	}
-	v.live = false
+	v.live.Store(false)
 	g.disarmVariantWatches(v)
 	e := v.e
 	e.variants = removeFromVariants(e.variants, v)
@@ -538,11 +540,11 @@ func (g *Manager) compactLocked(e *Entry) {
 		}
 	}
 	// Route around the chain before freeing it.
-	if e.stub != 0 {
+	if stub := e.stub.Load(); stub != 0 {
 		if u := e.uncondLocked(); u != nil {
-			g.patchStub(e.stub, u.res.Addr)
+			g.patchStub(stub, u.res.Addr)
 		} else {
-			g.patchStub(e.stub, e.fn)
+			g.patchStub(stub, e.fn)
 		}
 	}
 	_ = g.m.FreeJIT(e.chain.addr)
