@@ -16,9 +16,9 @@ go vet ./...
 # The -run patterns of the passes below. Each alternative must select at
 # least one test: a renamed test must fail here, not drop out of its pass.
 FREEZE_RUN='TestFreezeNet$|TestFreezeNetUnderCollisions|TestLayoutTwoBases'
-BREW_RACE_RUN='TestRewriteBatch|TestConcurrentDo|TestGenerated|TestOracle|TestCompareMemory|TestRollback'
+BREW_RACE_RUN='TestRewriteBatch|TestConcurrentDo|TestGenerated|TestOracle|TestCompareMemory|TestRollback|TestFingerprintNeverStale'
 LOCKSTAT_RUN='TestWarmPathZeroLocks|TestShardRouting|TestCrossShardIsolation|TestSubmitBatch|TestAdmission'
-WARM_RUN='TestFingerprintFreeze|TestKeyFreeze|TestWarmHitAllocs'
+WARM_RUN='TestFingerprintFreeze|TestKeyFreeze|TestWarmHitAllocs|TestFingerprintNeverStale'
 
 # require_tests PATTERN [go test flags] PACKAGE...: fail unless every
 # |-separated alternative of PATTERN lists at least one test.
@@ -68,8 +68,10 @@ rm -f "$GOLDEN_KEPT"
 # The warm serve path's freeze net and allocation budget, by name: the
 # configuration fingerprints and the service keys (cache key, entry key,
 # shard) over seeded populations against their committed goldens — a moved
-# value re-routes shards, cache evictions and store keys — and the
-# zero-allocation Do hit (TestWarmHitAllocs).
+# value re-routes shards, cache evictions and store keys — the memoized
+# Fingerprint held to a freshly rebuilt configuration after every mutation
+# (TestFingerprintNeverStale), and the zero-allocation Do hit
+# (TestWarmHitAllocs).
 echo "== warm-path key freeze net and allocation budget"
 go test -count=1 -run "$WARM_RUN" ./internal/brew/ ./internal/brewsvc/
 
@@ -88,7 +90,9 @@ if [ "${RACE:-1}" = 1 ]; then
     # Short-budget race pass over the packages with real concurrency:
     # goroutines calling Do side by side (TestRewriteBatch*), eight
     # concurrent Do of one request on one machine
-    # (TestConcurrentDo), the oracle's window bookkeeping, and the
+    # (TestConcurrentDo), goroutines fingerprinting one shared Config
+    # while others clone and mutate it (TestFingerprintNeverStale), the
+    # oracle's window bookkeeping, and the
     # lock-free telemetry registry (full package: it is small and heavily
     # atomic).
     echo "== go test -race (short budget: brew, oracle, telemetry)"
@@ -110,10 +114,13 @@ if [ "${RACE:-1}" = 1 ]; then
     go test -race -short ./internal/brewsvc/
     # Lock-free serve path: the counted-mutex build is the only place the
     # zero-lock bar is checked — TestWarmPathZeroLocks proves warm cache
-    # hits take zero service locks, with the sharding/admission suite
-    # riding along under the same tag.
-    echo "== go test -race (brewsvc, counted mutex)"
+    # hits take zero locks, the service's and the specialization
+    # manager's, with the sharding/admission suite riding along under the
+    # same tag. The manager's mutex is counted too, so its full suite runs
+    # on the counted build as well.
+    echo "== go test -race (brewsvc, specmgr, counted mutex)"
     go test -race -short -tags brewsvc_lockstat -run "$LOCKSTAT_RUN" ./internal/brewsvc/
+    go test -race -short -tags brewsvc_lockstat ./internal/specmgr/
     # The observability layer is lock-free by construction (ring-buffer
     # flight recorder, atomic span gating): full suite under -race,
     # including the concurrent ring-wrap writers and the disabled-path
