@@ -97,6 +97,78 @@ func TestAdmissionInjectSheds(t *testing.T) {
 	}
 }
 
+// TestAdmissionEstimatedWaitSheds: the arrival-time shed reached through
+// the real estimate — a seeded rewrite-latency EWMA times the flights
+// queued ahead — sheds a request whose class SLO the queue already
+// exceeds, while classes without an SLO queue and complete untouched.
+func TestAdmissionEstimatedWaitSheds(t *testing.T) {
+	m := vm.MustNew()
+	fn := loadPoly(t, m)
+	svc := brewsvc.Open(m,
+		brewsvc.WithWorkers(1),
+		brewsvc.WithAdmission(brewsvc.Admission{
+			SLO: [3]time.Duration{brewsvc.PriorityLow: time.Nanosecond},
+		}))
+	defer svc.Close()
+
+	// One completed rewrite seeds the shard's latency EWMA.
+	if seed := svc.Do(&brewsvc.Request{
+		Config: brew.NewConfig(), Fn: fn, Args: []uint64{2, 3},
+		Priority: brewsvc.PriorityNormal,
+	}); seed.Degraded {
+		t.Fatalf("seeding request degraded: %s (%v)", seed.Reason, seed.Err)
+	}
+
+	_, release := wedgeWorker(t, svc, fn)
+	defer release()
+
+	// One queued Normal flight is ahead of any Low arrival.
+	normal := svc.Submit(&brewsvc.Request{
+		Config: brew.NewConfig(), Fn: fn,
+		Guards:   []brew.ParamGuard{{Param: 2, Value: 4}},
+		Args:     []uint64{0, 0},
+		Priority: brewsvc.PriorityNormal,
+	})
+
+	// A distinct key: a Low request for a cached key is a hit and never
+	// reaches admission. A shed completes inside Submit; an admitted Low
+	// flight would wait behind the wedge.
+	low, done := svc.Submit(&brewsvc.Request{
+		Config: brew.NewConfig(), Fn: fn,
+		Guards:   []brew.ParamGuard{{Param: 2, Value: 9}},
+		Args:     []uint64{0, 0},
+		Priority: brewsvc.PriorityLow,
+	}).TryOutcome()
+	if !done {
+		t.Fatal("low-priority request was queued, want shed at admission")
+	}
+	if !low.Degraded || low.Reason != brewsvc.ReasonOverload {
+		t.Fatalf("low-priority outcome degraded=%v reason=%q, want overload shed", low.Degraded, low.Reason)
+	}
+	if !errors.Is(low.Err, brewsvc.ErrOverload) {
+		t.Fatalf("low-priority err = %v, want ErrOverload", low.Err)
+	}
+	if low.Addr != fn {
+		t.Fatalf("shed outcome addr %#x, want original %#x (never enqueued)", low.Addr, fn)
+	}
+
+	release()
+	if out := normal.Outcome(); out.Degraded {
+		t.Fatalf("SLO-exempt normal request degraded: %s (%v)", out.Reason, out.Err)
+	}
+
+	st := svc.Stats()
+	if st.Sheds[brewsvc.PriorityLow] != 1 {
+		t.Fatalf("low sheds = %d, want 1", st.Sheds[brewsvc.PriorityLow])
+	}
+	if st.Sheds[brewsvc.PriorityNormal] != 0 || st.Sheds[brewsvc.PriorityHigh] != 0 {
+		t.Fatalf("SLO-exempt classes shed: %v", st.Sheds)
+	}
+	if st.Rejected != 0 {
+		t.Fatalf("admission sheds counted as legacy rejections: %d", st.Rejected)
+	}
+}
+
 // TestAdmissionFaultinjectSeam: the faultinject registry drives the same
 // decision through AdmissionHook, so chaos configs can storm admission
 // without touching rewrite-pipeline points.
