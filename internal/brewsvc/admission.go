@@ -71,10 +71,6 @@ type Admission struct {
 	// OnOverload is each class's decision when its request arrives at a
 	// full queue. Ignored for classes without an SLO.
 	OnOverload [3]OverloadDecision
-	// Inject, when non-nil, is the fault-injection seam (see
-	// faultinject.AdmissionHook): returning true force-sheds the arriving
-	// admission-controlled request as if its wait estimate were over SLO.
-	Inject func() bool
 }
 
 // rewriteEWMADivisor sets the exponential decay of the per-shard rewrite

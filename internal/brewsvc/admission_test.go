@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/brew"
 	"repro/internal/brewsvc"
-	"repro/internal/faultinject"
 	"repro/internal/vm"
 )
 
@@ -45,55 +44,6 @@ func wedgeWorker(t *testing.T, svc *brewsvc.Service, fn uint64) (*brewsvc.Ticket
 			once = true
 			close(block)
 		}
-	}
-}
-
-// TestAdmissionInjectSheds: the deterministic admission seam — an
-// Admission.Inject hook that reports overload sheds every arriving
-// request in a class with an SLO, while classes without an SLO pass
-// untouched.
-func TestAdmissionInjectSheds(t *testing.T) {
-	m := vm.MustNew()
-	fn := loadPoly(t, m)
-	svc := brewsvc.Open(m,
-		brewsvc.WithWorkers(1),
-		brewsvc.WithAdmission(brewsvc.Admission{
-			SLO:    [3]time.Duration{brewsvc.PriorityLow: time.Second},
-			Inject: func() bool { return true },
-		}))
-	defer svc.Close()
-
-	low := svc.Do(&brewsvc.Request{
-		Config: brew.NewConfig(), Fn: fn, Args: []uint64{2, 3},
-		Priority: brewsvc.PriorityLow,
-	})
-	if !low.Degraded || low.Reason != brewsvc.ReasonOverload {
-		t.Fatalf("low-priority outcome degraded=%v reason=%q, want overload shed", low.Degraded, low.Reason)
-	}
-	if !errors.Is(low.Err, brewsvc.ErrOverload) {
-		t.Fatalf("low-priority err = %v, want ErrOverload", low.Err)
-	}
-	if low.Addr != fn {
-		t.Fatalf("shed outcome addr %#x, want original %#x (never enqueued)", low.Addr, fn)
-	}
-
-	normal := svc.Do(&brewsvc.Request{
-		Config: brew.NewConfig(), Fn: fn, Args: []uint64{2, 3},
-		Priority: brewsvc.PriorityNormal,
-	})
-	if normal.Degraded {
-		t.Fatalf("SLO-exempt normal request degraded: %s (%v)", normal.Reason, normal.Err)
-	}
-
-	st := svc.Stats()
-	if st.Sheds[brewsvc.PriorityLow] != 1 {
-		t.Fatalf("low sheds = %d, want 1", st.Sheds[brewsvc.PriorityLow])
-	}
-	if st.Sheds[brewsvc.PriorityNormal] != 0 || st.Sheds[brewsvc.PriorityHigh] != 0 {
-		t.Fatalf("SLO-exempt classes shed: %v", st.Sheds)
-	}
-	if st.Rejected != 0 {
-		t.Fatalf("admission sheds counted as legacy rejections: %d", st.Rejected)
 	}
 }
 
@@ -166,32 +116,6 @@ func TestAdmissionEstimatedWaitSheds(t *testing.T) {
 	}
 	if st.Rejected != 0 {
 		t.Fatalf("admission sheds counted as legacy rejections: %d", st.Rejected)
-	}
-}
-
-// TestAdmissionFaultinjectSeam: the faultinject registry drives the same
-// decision through AdmissionHook, so chaos configs can storm admission
-// without touching rewrite-pipeline points.
-func TestAdmissionFaultinjectSeam(t *testing.T) {
-	m := vm.MustNew()
-	fn := loadPoly(t, m)
-	inj := faultinject.New(7)
-	inj.Arm(faultinject.PointAdmission, 1.0)
-	svc := brewsvc.Open(m,
-		brewsvc.WithWorkers(1),
-		brewsvc.WithAdmission(brewsvc.Admission{
-			SLO:    [3]time.Duration{brewsvc.PriorityNormal: time.Second},
-			Inject: inj.AdmissionHook(),
-		}))
-	defer svc.Close()
-
-	out := svc.Do(&brewsvc.Request{Config: brew.NewConfig(), Fn: fn, Args: []uint64{2, 3},
-		Priority: brewsvc.PriorityNormal})
-	if !out.Degraded || !errors.Is(out.Err, brewsvc.ErrOverload) {
-		t.Fatalf("armed admission point did not shed: degraded=%v err=%v", out.Degraded, out.Err)
-	}
-	if inj.Fired(faultinject.PointAdmission) == 0 {
-		t.Fatal("injector did not record the admission fault")
 	}
 }
 

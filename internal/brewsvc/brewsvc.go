@@ -626,13 +626,8 @@ func (sh *shard) admitLocked(req *Request, pr probed) *Ticket {
 	if slo > 0 {
 		a := s.cfg.admission
 		// Estimated-wait shed: a request whose class SLO the queue ahead
-		// of it already exceeds is doomed — shed it at the door. The
-		// Inject seam force-trips the same decision deterministically.
-		over := a.Inject != nil && a.Inject()
-		if !over && sh.estimatedWaitLocked(prio) > slo {
-			over = true
-		}
-		if over {
+		// of it already exceeds is doomed — shed it at the door.
+		if sh.estimatedWaitLocked(prio) > slo {
 			return sh.shedArrivalLocked(req.Fn, prio, tid)
 		}
 		if sh.q.full() {
@@ -924,8 +919,8 @@ func (sh *shard) completeCacheable(f *flight, out *brew.Outcome, rerr error, war
 		s.evictVictim(victim, v)
 	}
 	// Persist freshly traced installs (a warm adoption would re-write the
-	// identical record). The local write is synchronous on this worker —
-	// off the serve path — and the remote copy is write-behind.
+	// identical record). The write is synchronous on this worker — off
+	// the serve path.
 	if s.cfg.store != nil && !warm {
 		s.persist(f, out)
 	}
@@ -1051,11 +1046,5 @@ func (s *Service) Close() {
 	// are harmless repeats.
 	for _, cv := range s.cache.drain() {
 		s.mgr.Release(cv.e)
-	}
-	// Bounded persist-queue drain: give the store's remote write-behind a
-	// chance to flush, but never hang on a put stuck in retry backoff
-	// (the local tier already has every record).
-	if s.cfg.store != nil {
-		s.cfg.store.Drain(s.cfg.drainTimeout)
 	}
 }

@@ -245,9 +245,8 @@ func (i Inspection) Render() string {
 			st.DeadlineSheds)
 	}
 	if p := i.Persist; p != nil {
-		fmt.Fprintf(&b, "persist   warm_hits=%d relocated=%d reval_fails=%s quarantined=%d puts=%d gen=%d remote[hits=%d puts=%d timeouts=%d errs=%d queue=%d] breaker_open=%v\n",
-			p.WarmHits, p.Relocated, p.RevalFailsText(), p.Quarantined, p.Puts, p.Generation,
-			p.RemoteHits, p.RemotePuts, p.RemoteTOs, p.RemoteErrs, p.RemoteQueue, p.BreakerOpen)
+		fmt.Fprintf(&b, "persist   warm_hits=%d relocated=%d reval_fails=%s quarantined=%d puts=%d gen=%d\n",
+			p.WarmHits, p.Relocated, p.RevalFailsText(), p.Quarantined, p.Puts, p.Generation)
 	}
 	fmt.Fprintf(&b, "tiering   tracked=%d promoted=%d failed=%d\n",
 		i.TrackedPromotions, st.TierPromotions, st.TierDemotions)

@@ -1,8 +1,6 @@
 package brewsvc
 
 import (
-	"time"
-
 	"repro/internal/specmgr"
 	"repro/internal/spstore"
 	"repro/internal/vm"
@@ -21,7 +19,6 @@ type svcConfig struct {
 	policy       specmgr.Policy
 	promoteAfter int
 	store        *spstore.Store
-	drainTimeout time.Duration
 	admission    *Admission
 }
 
@@ -32,7 +29,6 @@ func defaultConfig() svcConfig {
 		queueCap:      64,
 		cacheShards:   8,
 		cachePerShard: 32,
-		drainTimeout:  2 * time.Second,
 	}
 }
 
@@ -108,20 +104,9 @@ func WithPromotion(after int) Option {
 // WithStore attaches the persistent rewrite store (warm start): workers
 // consult it before tracing a cacheable request — a record passing full
 // revalidation (persist.go) is adopted instead of re-traced — and persist
-// every successful install write-behind.
+// every successful install they trace.
 func WithStore(st *spstore.Store) Option {
 	return func(c *svcConfig) { c.store = st }
-}
-
-// WithPersistDrainTimeout bounds Close's wait for the store's remote
-// write-behind queue (default 2s; only used with WithStore). Close never
-// hangs on a remote put stuck in backoff.
-func WithPersistDrainTimeout(d time.Duration) Option {
-	return func(c *svcConfig) {
-		if d > 0 {
-			c.drainTimeout = d
-		}
-	}
 }
 
 // WithAdmission enables real admission control: per-priority queue-wait

@@ -1,6 +1,6 @@
 package brewsvc
 
-// Warm start and write-behind persistence (WithStore). The worker
+// Warm start and persistence (WithStore). The worker
 // consults the persistent rewrite store before tracing a cacheable
 // flight and persists every successful install; the revalidate-before-
 // adopt discipline lives in spstore.Adopt, the watchpoint re-arming in
@@ -26,11 +26,10 @@ func (s *Service) warmAdopt(f *flight) *brew.Outcome {
 	return out
 }
 
-// persist captures a successful install into the store: the local write
-// is synchronous on the worker (which just paid a multi-millisecond
-// trace — the serve path is not here), the remote copy write-behind
-// inside the store. Persistence is an optimization: a failure to
-// capture or write is dropped, never surfaced to the caller.
+// persist captures a successful install into the store: the write is
+// synchronous on the worker (which just paid a multi-millisecond trace —
+// the serve path is not here). Persistence is an optimization: a failure
+// to capture or write is dropped, never surfaced to the caller.
 func (s *Service) persist(f *flight, out *brew.Outcome) {
 	_, _ = s.cfg.store.CapturePut(s.m, f.req.Config, f.req.Fn, f.req.Args, f.req.FArgs, f.req.Guards, out)
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 	"os"
 	"testing"
-	"time"
 
 	"repro/internal/brewsvc"
 	"repro/internal/faultinject"
@@ -13,10 +12,9 @@ import (
 
 // TestPersistChaosStoreFaultsNeverWrong drives seed-varied store fault
 // injection — torn writes, truncated records, bit flips, checksum-valid
-// stale assumption digests, remote timeouts and remote errors — through
-// repeated simulated restarts sharing one store directory, until at
-// least 500 store faults have fired (about 120 under -short). The
-// invariant, every round:
+// stale assumption digests — through repeated simulated restarts sharing
+// one store directory, until at least 500 store faults have fired (about
+// 120 under -short). The invariant, every round:
 //
 //   - zero wrong executions: every outcome is callable and its sweep
 //     checksum matches the golden reference, whether it was traced
@@ -56,14 +54,7 @@ func TestPersistChaosStoreFaultsNeverWrong(t *testing.T) {
 		m, w := newStencil(t)
 		baseline := m.JITFreeBytes()
 
-		opts := spstore.Options{
-			Dir:              dir,
-			Remote:           spstore.NewMemRemote(),
-			RemoteTimeout:    2 * time.Millisecond,
-			RemoteRetries:    2,
-			BreakerThreshold: 3,
-			BreakerCooldown:  5 * time.Millisecond,
-		}
+		opts := spstore.Options{Dir: dir}
 		if inj != nil {
 			opts.Inject = inj.StoreHook()
 		}
@@ -93,8 +84,7 @@ func TestPersistChaosStoreFaultsNeverWrong(t *testing.T) {
 				}
 			}
 		}
-		svc := brewsvc.Open(m, brewsvc.WithWorkers(1), brewsvc.WithStore(st),
-			brewsvc.WithPersistDrainTimeout(100*time.Millisecond))
+		svc := brewsvc.Open(m, brewsvc.WithWorkers(1), brewsvc.WithStore(st))
 
 		type kernel struct {
 			name string
@@ -165,13 +155,11 @@ func TestPersistChaosStoreFaultsNeverWrong(t *testing.T) {
 		rounds++
 		inj := faultinject.New(seed)
 		// Vary the mix: some rounds lean on write corruption, some on the
-		// lying-digest record, some on remote misbehavior.
+		// lying-digest record.
 		inj.Arm(faultinject.PointStoreTornWrite, 0.3*float64(seed%2))
 		inj.Arm(faultinject.PointStoreTruncate, 0.3*float64((seed/2)%2))
 		inj.Arm(faultinject.PointStoreBitFlip, 0.3*float64((seed/4)%2))
 		inj.Arm(faultinject.PointStoreStaleAssume, 0.25*float64((seed/3)%2))
-		inj.Arm(faultinject.PointStoreRemoteTimeout, 0.2*float64((seed/5)%2))
-		inj.Arm(faultinject.PointStoreRemoteErr, 0.2)
 		round(seed, inj)
 		fired += inj.TotalFired()
 	}

@@ -1,13 +1,10 @@
 package brewsvc_test
 
 import (
-	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/brewsvc"
 	"repro/internal/spstore"
@@ -173,50 +170,5 @@ func TestWarmAdoptionPopulatesCache(t *testing.T) {
 	}
 	if sst := st.Stats(); sst.LocalHits != 1 {
 		t.Fatalf("store stats = %+v, want exactly 1 local hit", sst)
-	}
-}
-
-// TestCloseRacingRemoteBackoff is the regression test for the Close /
-// write-behind race: with the remote tier wedged (every put erroring
-// into a long retry schedule), Service.Close must drain within its
-// bounded deadline and return promptly — and shutting the store down
-// afterwards must leave no goroutine behind.
-func TestCloseRacingRemoteBackoff(t *testing.T) {
-	before := runtime.NumGoroutine()
-
-	r := spstore.NewMemRemote()
-	remoteDown := errors.New("remote down")
-	r.FailPut = func(string) error { return remoteDown }
-	m, w := newStencil(t)
-	st := openStoreDir(t, t.TempDir(), spstore.Options{
-		Remote:           r,
-		RemoteRetries:    1000,
-		RemoteTimeout:    10 * time.Millisecond,
-		BreakerThreshold: 1 << 30,
-	})
-	svc := brewsvc.Open(m, brewsvc.WithWorkers(1), brewsvc.WithStore(st),
-		brewsvc.WithPersistDrainTimeout(50*time.Millisecond))
-	cfg, args := w.ApplyConfig()
-	if out := svc.Do(&brewsvc.Request{Config: cfg, Fn: w.Apply, Args: args}); out.Degraded {
-		t.Fatalf("degraded: %s", out.Reason)
-	}
-
-	done := make(chan struct{})
-	go func() { svc.Close(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(3 * time.Second):
-		t.Fatal("Service.Close hung on a remote put stuck in backoff")
-	}
-	st.Close()
-
-	// The write-behind worker and any timed-out call goroutines must wind
-	// down; poll briefly rather than demanding an instant exact count.
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); n > before {
-		t.Fatalf("goroutines leaked across Close: %d before, %d after", before, n)
 	}
 }

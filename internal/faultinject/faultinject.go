@@ -1,11 +1,12 @@
 // Package faultinject provides deterministic, seeded fault injection for
-// the rewrite pipeline. It drives the brew.Config.Inject seam: an Injector
-// is armed with per-point firing rates and decides pseudo-randomly — but
-// reproducibly for a given seed — whether each visited injection point
-// fails, panics, or passes. The chaos tests (internal/specmgr) use it to
-// prove the robustness invariant: under thousands of injected faults the
-// system is never wrong and never crashes; at worst it runs the original
-// code at generic speed.
+// the rewrite pipeline and the persistent store. It drives two seams,
+// brew.Config.Inject (Hook) and spstore.Options.Inject (StoreHook): an
+// Injector is armed with per-point firing rates and decides
+// pseudo-randomly — but reproducibly for a given seed — whether each
+// visited injection point fails, panics, or passes. The chaos tests
+// (internal/specmgr, internal/brewsvc) use it to prove the robustness
+// invariant: under thousands of injected faults the system is never wrong
+// and never crashes; at worst it runs the original code at generic speed.
 package faultinject
 
 import (
@@ -53,20 +54,6 @@ const (
 	// PointStoreStaleAssume persists a record whose assumption digests
 	// lie — checksum-valid, only revalidation can reject it.
 	PointStoreStaleAssume Point = "store-stale-assume"
-	// PointStoreRemoteTimeout holds a remote op past its deadline.
-	PointStoreRemoteTimeout Point = "store-remote-timeout"
-	// PointStoreRemoteErr fails a remote op (5xx-equivalent).
-	PointStoreRemoteErr Point = "store-remote-err"
-)
-
-// Service injection points (internal/brewsvc). Separate from the
-// rewrite-pipeline set so ArmAll keeps existing chaos decision streams.
-const (
-	// PointAdmission forces the service's admission control to treat the
-	// arriving request as over its SLO and shed it (ReasonOverload),
-	// regardless of the estimated queue wait. It exercises the overload
-	// path deterministically without needing a genuinely saturated shard.
-	PointAdmission Point = "admission"
 )
 
 // Points lists every rewrite-pipeline injection point (the set ArmAll
@@ -74,13 +61,9 @@ const (
 // decision streams).
 var Points = []Point{PointJITAlloc, PointOpcode, PointBudget, PointPanic, PointDispatch}
 
-// ServicePoints lists every service-layer injection point.
-var ServicePoints = []Point{PointAdmission}
-
 // StorePoints lists every persistent-store injection point.
 var StorePoints = []Point{
-	PointStoreTornWrite, PointStoreTruncate, PointStoreBitFlip,
-	PointStoreStaleAssume, PointStoreRemoteTimeout, PointStoreRemoteErr,
+	PointStoreTornWrite, PointStoreTruncate, PointStoreBitFlip, PointStoreStaleAssume,
 }
 
 // Injector makes seeded pass/fail decisions at armed points. It is safe
@@ -117,17 +100,9 @@ func (in *Injector) Arm(p Point, rate float64) *Injector {
 }
 
 // ArmAll arms every rewrite-pipeline point at the same rate (store
-// points are armed individually or via ArmStore).
+// points are armed individually).
 func (in *Injector) ArmAll(rate float64) *Injector {
 	for _, p := range Points {
-		in.Arm(p, rate)
-	}
-	return in
-}
-
-// ArmStore arms every persistent-store point at the same rate.
-func (in *Injector) ArmStore(rate float64) *Injector {
-	for _, p := range StorePoints {
 		in.Arm(p, rate)
 	}
 	return in
@@ -227,14 +202,6 @@ func (in *Injector) Hook() func(site string) error {
 		}
 		return nil
 	}
-}
-
-// AdmissionHook adapts the Injector to the brewsvc Admission.Inject seam:
-// the returned hook makes the seeded PointAdmission decision for each
-// admission-controlled request (with the same recorded-event and Fired
-// accounting as every other point).
-func (in *Injector) AdmissionHook() func() bool {
-	return func() bool { return in.Should(PointAdmission) }
 }
 
 // StoreHook adapts the Injector to the spstore.Options.Inject seam: the

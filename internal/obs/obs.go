@@ -167,8 +167,8 @@ const (
 	// KindFault: an injected fault fired (Reason is the injection point).
 	KindFault
 	// KindPersist: a persistent-store lifecycle event — warm adoption,
-	// revalidation failure, quarantine, remote-tier degradation (Reason
-	// says which; see internal/spstore).
+	// revalidation failure or quarantine (Reason says which; see
+	// internal/spstore).
 	KindPersist
 
 	numKinds

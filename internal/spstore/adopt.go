@@ -66,8 +66,8 @@ func Capture(m *vm.Machine, cfg *brew.Config, fn uint64, args []uint64, fargs []
 	return rec, nil
 }
 
-// CapturePut is Capture followed by Put; the common write-behind call
-// the service makes after a successful install.
+// CapturePut is Capture followed by Put; the call the service's worker
+// makes after a successful install.
 func (s *Store) CapturePut(m *vm.Machine, cfg *brew.Config, fn uint64, args []uint64, fargs []float64, guards []brew.ParamGuard, out *brew.Outcome) (*Record, error) {
 	rec, err := Capture(m, cfg, fn, args, fargs, guards, out)
 	if err != nil {

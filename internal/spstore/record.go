@@ -1,8 +1,7 @@
 // Package spstore is the crash-safe persistent rewrite store: a
-// content-addressed, two-level (local disk + pluggable remote) cache of
-// promoted specializations, so a brewsvc restart does not re-trace the
-// world (ROADMAP item 2; modeled on Bhojpur GoRPA's local+remote build
-// cache with source-dependent versions).
+// content-addressed on-disk cache of promoted specializations, so a
+// brewsvc restart does not re-trace the world (ROADMAP item 2; modeled on
+// Bhojpur GoRPA's build cache with source-dependent versions).
 //
 // The robustness stakes are higher than a build cache's: adopting a stale
 // or corrupt specialized body is a silent miscompile. Three disciplines

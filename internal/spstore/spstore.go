@@ -17,81 +17,39 @@ import (
 	"repro/internal/obs"
 )
 
-// Options configures a Store. Only Dir is required; a nil Remote runs
-// the store local-only.
+// Options configures a Store. Only Dir is required.
 type Options struct {
 	// Dir is the store directory (created if missing; quarantined records
 	// live in Dir/quarantine).
 	Dir string
-	// Remote is the optional second tier. Gets are best-effort behind the
-	// local miss path (bounded by RemoteTimeout); puts are write-behind
-	// on a background goroutine — the serve path never blocks on it.
-	Remote Remote
-	// RemoteTimeout bounds every remote operation (default 250ms).
-	RemoteTimeout time.Duration
-	// RemoteRetries caps the attempts per write-behind put (default 4),
-	// spaced by capped exponential backoff with jitter.
-	RemoteRetries int
-	// BreakerThreshold consecutive remote failures open the circuit
-	// breaker: the store degrades to local-only until BreakerCooldown
-	// elapses, then probes half-open (defaults 5 and 2s).
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
 	// Inject is the fault-injection seam (internal/faultinject's
 	// StoreHook): called with a store fault-point name, a true return
 	// makes the store simulate that fault (torn write, truncated record,
-	// bit-flip, stale assumption digest, remote timeout/error). Nil in
-	// production.
+	// bit-flip, stale assumption digest). Nil in production.
 	Inject func(point string) bool
-}
-
-func (o Options) withDefaults() Options {
-	if o.RemoteTimeout <= 0 {
-		o.RemoteTimeout = 250 * time.Millisecond
-	}
-	if o.RemoteRetries <= 0 {
-		o.RemoteRetries = 4
-	}
-	if o.BreakerThreshold <= 0 {
-		o.BreakerThreshold = 5
-	}
-	if o.BreakerCooldown <= 0 {
-		o.BreakerCooldown = 2 * time.Second
-	}
-	return o
 }
 
 // Store fault-point names (mirrored by internal/faultinject's store
 // points; spstore takes them as strings to stay decoupled).
 const (
-	InjectTornWrite     = "store-torn-write"
-	InjectTruncate      = "store-truncate"
-	InjectBitFlip       = "store-bit-flip"
-	InjectStaleAssume   = "store-stale-assume"
-	InjectRemoteTimeout = "store-remote-timeout"
-	InjectRemoteErr     = "store-remote-err"
+	InjectTornWrite   = "store-torn-write"
+	InjectTruncate    = "store-truncate"
+	InjectBitFlip     = "store-bit-flip"
+	InjectStaleAssume = "store-stale-assume"
 )
 
-// Stats is a point-in-time snapshot of the store counters (all lifetime
-// totals for this Store instance except the two gauges).
+// Stats is a point-in-time snapshot of the store counters (lifetime
+// totals for this Store instance, except Generation: the manifest's).
 type Stats struct {
-	Puts         uint64 `json:"puts"`
-	LocalHits    uint64 `json:"local_hits"`
-	LocalMisses  uint64 `json:"local_misses"`
-	WarmHits     uint64 `json:"warm_hits"`
-	Relocated    uint64 `json:"relocated"` // warm hits installed away from the recorded address
-	RevalFails   uint64 `json:"warm_revalidation_failures"`
-	Quarantined  uint64 `json:"quarantined"`
-	RemoteHits   uint64 `json:"remote_hits"`
-	RemotePuts   uint64 `json:"remote_puts"`
-	RemoteTOs    uint64 `json:"remote_timeouts"`
-	RemoteErrs   uint64 `json:"remote_errors"`
-	RemoteDrops  uint64 `json:"remote_drops"`
-	BreakerOpens uint64 `json:"breaker_opens"`
-	BreakerOpen  bool   `json:"breaker_open"` // gauge: open right now
-	RemoteQueue  int    `json:"remote_queue"` // gauge: write-behind backlog
-	RevalNS      int64  `json:"revalidation_ns"`
-	Generation   uint64 `json:"generation"`
+	Puts        uint64 `json:"puts"`
+	LocalHits   uint64 `json:"local_hits"`
+	LocalMisses uint64 `json:"local_misses"`
+	WarmHits    uint64 `json:"warm_hits"`
+	Relocated   uint64 `json:"relocated"` // warm hits installed away from the recorded address
+	RevalFails  uint64 `json:"warm_revalidation_failures"`
+	Quarantined uint64 `json:"quarantined"`
+	RevalNS     int64  `json:"revalidation_ns"`
+	Generation  uint64 `json:"generation"`
 
 	// RevalFailsByStep splits RevalFails by the step of Adopt that refused:
 	// "orig-code-changed", "frozen-digest-mismatch", ... quarantine the
@@ -123,16 +81,13 @@ type Store struct {
 	retired []string   // names pushed out of quar, for writeAtomic to reuse
 
 	st     counters
-	remote *remoteTier // nil when Options.Remote is nil
 	closed atomic.Bool
 }
 
 type counters struct {
-	puts, localHits, localMisses      atomic.Uint64
-	warmHits, relocated, quarantined  atomic.Uint64
-	remoteHits, remotePuts, remoteTOs atomic.Uint64
-	remoteErrs, remoteDrops, brkOpens atomic.Uint64
-	revalNS                           atomic.Int64
+	puts, localHits, localMisses     atomic.Uint64
+	warmHits, relocated, quarantined atomic.Uint64
+	revalNS                          atomic.Int64
 
 	failMu sync.Mutex
 	fails  map[string]uint64 // revalidation failures by step
@@ -175,10 +130,8 @@ type manifest struct {
 
 // Open opens (creating if needed) the store at opts.Dir: ensures the
 // directory layout, sweeps stray temp files from crashed writers,
-// loads or rebuilds the manifest, and starts the remote write-behind
-// worker when a Remote is configured.
+// and loads or rebuilds the manifest.
 func Open(opts Options) (*Store, error) {
-	opts = opts.withDefaults()
 	if opts.Dir == "" {
 		return nil, errors.New("spstore: Options.Dir is required")
 	}
@@ -213,10 +166,6 @@ func Open(opts Options) (*Store, error) {
 		return nil, fmt.Errorf("spstore: %w", err)
 	} else {
 		s.gen.Store(uint64(s.countRecords()))
-	}
-
-	if opts.Remote != nil {
-		s.remote = newRemoteTier(s, opts)
 	}
 	return s, nil
 }
@@ -253,8 +202,7 @@ func (s *Store) inject(point string) bool {
 }
 
 // Put writes rec under its key: atomic local write (temp + fsync +
-// rename) plus a manifest generation bump, then hands the encoded bytes
-// to the remote tier write-behind (never blocking). The injected
+// rename) plus a manifest generation bump. The injected
 // corruption modes deliberately write a *bad* final file through the
 // same rename path — simulating a crash mid-write on a filesystem
 // without atomic rename, a torn sector, or silent media corruption —
@@ -323,9 +271,6 @@ func (s *Store) Put(rec *Record) error {
 	s.bumpGeneration()
 	s.st.puts.Add(1)
 	mPuts.Inc()
-	if s.remote != nil {
-		s.remote.enqueuePut(rec.Key, enc)
-	}
 	return nil
 }
 
@@ -513,10 +458,9 @@ func (s *Store) writeManifest(b []byte) error {
 	return f.Sync()
 }
 
-// Get looks the key up: local tier first, then (on a local miss, when
-// the breaker allows) a timeout-bounded remote fetch with write-through
-// to local. A local file that fails framing, checksum or decode is
-// quarantined and reported as a miss — corrupt bytes are never returned.
+// Get looks the key up in the store directory. A file that fails framing,
+// checksum or decode is quarantined and reported as a miss — corrupt
+// bytes are never returned.
 func (s *Store) Get(k Key) (*Record, bool) {
 	key := k.String()
 	path := s.pathOf(key)
@@ -535,28 +479,7 @@ func (s *Store) Get(k Key) (*Record, bool) {
 	}
 	s.st.localMisses.Add(1)
 	mLocalMisses.Inc()
-	if s.remote == nil {
-		return nil, false
-	}
-	b, ok := s.remote.get(key)
-	if !ok {
-		return nil, false
-	}
-	rec, derr := decodeRecord(b)
-	if derr != nil || rec.Key != key {
-		// A corrupt remote copy is dropped, not quarantined (there is no
-		// local file to move); the counter still records the event.
-		s.st.quarantined.Add(1)
-		mQuarantined.Inc()
-		emitPersist(obs.Event{Kind: obs.KindPersist, Reason: "remote-corrupt"})
-		return nil, false
-	}
-	s.st.remoteHits.Add(1)
-	mRemoteHits.Inc()
-	if err := s.writeAtomic(path, b); err == nil {
-		s.bumpGeneration()
-	}
-	return rec, true
+	return nil, false
 }
 
 // Quarantine moves the key's record file into the quarantine directory
@@ -785,20 +708,14 @@ func (s *Store) GC(maxBytes int64) (*GCReport, error) {
 // Stats returns a snapshot of the store counters.
 func (s *Store) Stats() Stats {
 	st := Stats{
-		Puts:         s.st.puts.Load(),
-		LocalHits:    s.st.localHits.Load(),
-		LocalMisses:  s.st.localMisses.Load(),
-		WarmHits:     s.st.warmHits.Load(),
-		Relocated:    s.st.relocated.Load(),
-		Quarantined:  s.st.quarantined.Load(),
-		RemoteHits:   s.st.remoteHits.Load(),
-		RemotePuts:   s.st.remotePuts.Load(),
-		RemoteTOs:    s.st.remoteTOs.Load(),
-		RemoteErrs:   s.st.remoteErrs.Load(),
-		RemoteDrops:  s.st.remoteDrops.Load(),
-		BreakerOpens: s.st.brkOpens.Load(),
-		RevalNS:      s.st.revalNS.Load(),
-		Generation:   s.gen.Load(),
+		Puts:        s.st.puts.Load(),
+		LocalHits:   s.st.localHits.Load(),
+		LocalMisses: s.st.localMisses.Load(),
+		WarmHits:    s.st.warmHits.Load(),
+		Relocated:   s.st.relocated.Load(),
+		Quarantined: s.st.quarantined.Load(),
+		RevalNS:     s.st.revalNS.Load(),
+		Generation:  s.gen.Load(),
 	}
 	s.st.failMu.Lock()
 	for step, n := range s.st.fails {
@@ -809,10 +726,6 @@ func (s *Store) Stats() Stats {
 		st.RevalFails += n
 	}
 	s.st.failMu.Unlock()
-	if s.remote != nil {
-		st.BreakerOpen = s.remote.breakerOpen()
-		st.RemoteQueue = int(s.remote.pending.Load())
-	}
 	return st
 }
 
@@ -838,25 +751,8 @@ func (st Stats) RevalFailsText() string {
 	return fmt.Sprintf("%d (%s)", st.RevalFails, TallyText(st.RevalFailsByStep))
 }
 
-// Drain waits up to timeout for the remote write-behind queue to empty.
-// It returns true when the queue drained, false on timeout — it never
-// waits longer than the deadline, even with a put stuck in backoff.
-func (s *Store) Drain(timeout time.Duration) bool {
-	if s.remote == nil {
-		return true
-	}
-	return s.remote.drain(timeout)
-}
-
-// Close stops the remote write-behind worker (aborting any in-flight
-// backoff sleep) and marks the store closed. Waiting for the queue to
-// flush first is the caller's choice via Drain.
+// Close marks the store closed: later Puts fail. Reads are unaffected.
 func (s *Store) Close() error {
-	if s.closed.Swap(true) {
-		return nil
-	}
-	if s.remote != nil {
-		s.remote.close()
-	}
+	s.closed.Store(true)
 	return nil
 }

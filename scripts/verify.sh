@@ -108,8 +108,9 @@ if [ "${RACE:-1}" = 1 ]; then
     # singleflight coalescing, sharded cache): full suite under -race,
     # including the 64-goroutine exactly-one-trace test, the probe-window
     # re-check behind it (TestSubmitRecheckClosesProbeWindow), service chaos,
-    # and the tier-promotion suite (hot-swap torn-address readers,
-    # per-effort coalescing keys, quick-vs-full cache isolation).
+    # persist chaos (-short caps it at 120 injected store faults) and the
+    # tier-promotion suite (hot-swap torn-address readers, per-effort
+    # coalescing keys, quick-vs-full cache isolation).
     echo "== go test -race (short budget: brewsvc)"
     go test -race -short ./internal/brewsvc/
     # Lock-free serve path: the counted-mutex build is the only place the
@@ -127,12 +128,13 @@ if [ "${RACE:-1}" = 1 ]; then
     # zero-allocation tests.
     echo "== go test -race (obs)"
     go test -race ./internal/obs/
-    # The persistent rewrite store runs a write-behind remote goroutine
-    # with retry/backoff racing Close/Drain: full suite under -race,
-    # including the truncate-at-every-offset and bit-flip-every-byte
-    # crash-safety tables, the injected-write-fault quarantine tests, the
-    # damaged-record-never-relocated table and the corpus relocation round
-    # trip (-short caps the brewsvc persist chaos at 120 injected faults).
+    # The persistent rewrite store is shared by every worker that adopts or
+    # persists, and concurrent puts and quarantines contend for the
+    # manifest and the retired quarantine files (TestTwoStoresShareRetiredFiles):
+    # full suite under -race, including the truncate-at-every-offset and
+    # bit-flip-every-byte crash-safety tables, the injected-write-fault
+    # quarantine tests, the damaged-record-never-relocated table and the
+    # corpus relocation round trip.
     echo "== go test -race (spstore)"
     go test -race ./internal/spstore/
 fi
