@@ -624,14 +624,13 @@ func (sh *shard) admitLocked(req *Request, pr probed) *Ticket {
 		slo = a.SLO[prio]
 	}
 	if slo > 0 {
-		a := s.cfg.admission
 		// Estimated-wait shed: a request whose class SLO the queue ahead
 		// of it already exceeds is doomed — shed it at the door.
 		if sh.estimatedWaitLocked(prio) > slo {
 			return sh.shedArrivalLocked(req.Fn, prio, tid)
 		}
 		if sh.q.full() {
-			if a.OnOverload[prio] == ShedEvictLower {
+			if s.cfg.admission.OnOverload[prio] == ShedEvictLower {
 				victim := sh.q.evictLowestBelow(prio)
 				if victim == nil {
 					return sh.shedArrivalLocked(req.Fn, prio, tid)

@@ -201,12 +201,12 @@ func (s *Store) inject(point string) bool {
 	return s.opt.Inject != nil && s.opt.Inject(point)
 }
 
-// Put writes rec under its key: atomic local write (temp + fsync +
-// rename) plus a manifest generation bump. The injected
-// corruption modes deliberately write a *bad* final file through the
-// same rename path — simulating a crash mid-write on a filesystem
-// without atomic rename, a torn sector, or silent media corruption —
-// precisely so the read path has real faults to catch.
+// Put writes rec under its key: atomic write (temp + fsync + rename)
+// plus a manifest generation bump. The injected corruption modes
+// deliberately write a *bad* final file through the same rename path —
+// simulating a crash mid-write on a filesystem without atomic rename, a
+// torn sector, or silent media corruption — precisely so the read path
+// has real faults to catch.
 func (s *Store) Put(rec *Record) error {
 	if s.closed.Load() {
 		return errors.New("spstore: store is closed")
