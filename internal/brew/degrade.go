@@ -3,7 +3,7 @@ package brew
 import "errors"
 
 // Degradation reasons, the closed vocabulary Do's ModeDegrade classifies
-// failures into (one telemetry counter each; see metrics.go).
+// failures into (Outcome.Reason carries one).
 const (
 	ReasonTraceBudget  = "trace-budget"
 	ReasonDeadline     = "deadline"

@@ -273,8 +273,8 @@ func TestRewriteOrDegrade(t *testing.T) {
 }
 
 // TestGuardCountersUnconditional checks that guard hit/miss accounting
-// works without telemetry: the adaptive deoptimization policy depends on
-// these counters even in zero-telemetry deployments.
+// needs no observation gate: the adaptive deoptimization policy depends on
+// these counters with obs disabled.
 func TestGuardCountersUnconditional(t *testing.T) {
 	m, im := load(t, add2Src)
 	fn := im.MustEntry("add2")

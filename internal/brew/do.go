@@ -106,7 +106,6 @@ func Do(m *vm.Machine, req *Request) (*Outcome, error) {
 		return nil, err
 	}
 	reason := DegradeReason(err)
-	publishDegradeTelemetry(reason)
 	return &Outcome{
 		Addr:     req.Fn,
 		Result:   &Result{Addr: req.Fn, Degraded: true},

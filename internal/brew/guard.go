@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/isa"
 	"repro/internal/mem"
-	"repro/internal/telemetry"
 	"repro/internal/vm"
 )
 
@@ -33,10 +32,9 @@ type GuardedResult struct {
 	// JIT allocation at Addr needs it for accounting).
 	DispatchSize int
 
-	// Guard accounting is unconditional (cheap atomics) so the adaptive
+	// Guard accounting: cheap atomics, always on; the adaptive
 	// deoptimization policy (internal/specmgr: deopt after N consecutive
-	// misses) works with telemetry disabled; only the telemetry
-	// publication is gated on Enabled.
+	// misses) reads the streak.
 	hits    atomic.Uint64
 	misses  atomic.Uint64
 	mStreak atomic.Uint64
@@ -78,13 +76,6 @@ func (g *GuardedResult) note(hit bool) {
 	} else {
 		g.misses.Add(1)
 		g.mStreak.Add(1)
-	}
-	if telemetry.Enabled() {
-		if hit {
-			mGuardHits.Inc()
-		} else {
-			mGuardMisses.Inc()
-		}
 	}
 }
 

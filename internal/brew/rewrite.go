@@ -133,6 +133,5 @@ func rewrite(m *vm.Machine, cfg *Config, fn uint64, args []uint64, fargs []float
 	}
 	res.Report = t.rep.build(fn, res, t.blocks)
 	res.Report.Effort = cfg.Effort.String()
-	publishRewriteTelemetry(res.Report)
 	return res, nil
 }

@@ -70,7 +70,6 @@ import (
 	"repro/internal/lockstat"
 	"repro/internal/obs"
 	"repro/internal/specmgr"
-	"repro/internal/telemetry"
 	"repro/internal/vm"
 )
 
@@ -228,9 +227,9 @@ func doneTicket(o Outcome) *Ticket {
 	return &Ticket{addr: o.Addr, coalesced: o.Coalesced, cacheHit: o.CacheHit, done: closedCh, out: o}
 }
 
-// Stats is a point-in-time snapshot of the service counters (collected
-// unconditionally; the telemetry mirrors are gated on telemetry.Enable).
-// Service.Stats sums across shards; ShardStats exposes each shard.
+// Stats is a point-in-time snapshot of the service counters, which are
+// always collected (plain atomics, no gate). Service.Stats sums across
+// shards; ShardStats exposes each shard.
 type Stats struct {
 	Submitted    uint64 // Submit calls
 	CoalesceHits uint64 // callers that joined an in-flight trace
@@ -350,8 +349,7 @@ type shard struct {
 	// nanoseconds, feeding the admission-control wait estimate.
 	ewmaNS atomic.Uint64
 
-	depth *telemetry.Gauge // queued flights (brewsvc.queue_depth.s<id>)
-	st    stats
+	st stats
 }
 
 // sharedEnt is the service-side ownership record of one variant-table
@@ -418,7 +416,6 @@ func open(m *vm.Machine, cfg svcConfig) *Service {
 			q:        newQueue(cfg.queueCap),
 			inflight: make(map[cacheKey]*flight),
 			byFn:     make(map[entryKey]*sharedEnt),
-			depth:    telemetry.Default.Gauge(fmt.Sprintf("brewsvc.queue_depth.s%d", i)),
 		}
 		sh.cond = sync.NewCond(&sh.mu)
 		s.shards[i] = sh
@@ -505,7 +502,6 @@ type probed struct {
 // outcome; otherwise pr holds the inputs of admitLocked. No service lock is
 // taken and, on a live hit, nothing is allocated.
 func (s *Service) probe(req *Request) (pr probed, out Outcome, done bool) {
-	mSubmitted.Inc()
 	if req == nil {
 		s.shards[0].st.submitted.Add(1)
 		return pr, Outcome{
@@ -559,7 +555,6 @@ func (s *Service) probe(req *Request) (pr probed, out Outcome, done bool) {
 	// is acquired anywhere on this path (E10f), and nothing is allocated
 	// (TestWarmHitAllocs).
 	pr.sh.st.cacheHits.Add(1)
-	mCacheHits.Inc()
 	obs.EndSpanOn(pr.sh.id, pr.tid, obs.StageSubmit, obs.TierNone, pr.subStart, req.Fn, 0)
 	return pr, hitOutcome(cv), true
 }
@@ -598,7 +593,6 @@ func (sh *shard) admitLocked(req *Request, pr probed) *Ticket {
 				trace: tid, spanStart: pr.subStart, fn: req.Fn, link: f.trace}
 			f.tickets = append(f.tickets, t)
 			sh.st.coalesced.Add(1)
-			mCoalesceHits.Inc()
 			return t
 		}
 		// The caller probed the cache before taking this lock. A flight
@@ -608,11 +602,9 @@ func (sh *shard) admitLocked(req *Request, pr probed) *Ticket {
 		// second look at the cache settles whether k was ever traced.
 		if cv, ok := s.cache.get(k); ok && cv.v.Live() {
 			sh.st.cacheHits.Add(1)
-			mCacheHits.Inc()
 			return doneTicket(hitOutcome(cv))
 		}
 		sh.st.cacheMisses.Add(1)
-		mCacheMisses.Inc()
 	}
 
 	prio := req.Priority
@@ -635,7 +627,6 @@ func (sh *shard) admitLocked(req *Request, pr probed) *Ticket {
 				if victim == nil {
 					return sh.shedArrivalLocked(req.Fn, prio, tid)
 				}
-				sh.depth.Set(int64(sh.q.len()))
 				sh.shedFlightLocked(victim, ReasonOverload, ErrOverload)
 				// Room made; fall through to admit the arrival.
 			} else {
@@ -645,7 +636,6 @@ func (sh *shard) admitLocked(req *Request, pr probed) *Ticket {
 	} else if sh.q.full() {
 		// Legacy backpressure for classes outside admission control.
 		sh.st.rejected.Add(1)
-		mRejected.Inc()
 		if tid != 0 {
 			obs.Emit(obs.Event{Kind: obs.KindDegrade, Trace: tid, Fn: req.Fn,
 				Tier: obs.TierNone, Reason: ReasonQueueFull, Shard: int32(sh.id) + 1})
@@ -687,7 +677,6 @@ func (sh *shard) admitLocked(req *Request, pr probed) *Ticket {
 	t := &Ticket{addr: entry.Addr(), done: make(chan struct{})}
 	f.tickets = []*Ticket{t}
 	sh.q.push(f)
-	sh.depth.Set(int64(sh.q.len()))
 	if cacheable {
 		sh.inflight[k] = f
 	}
@@ -699,7 +688,6 @@ func (sh *shard) admitLocked(req *Request, pr probed) *Ticket {
 // completed degraded with ReasonOverload, never enqueued. Shard mu held.
 func (sh *shard) shedArrivalLocked(fn uint64, prio Priority, tid obs.TraceID) *Ticket {
 	sh.st.sheds[prio].Add(1)
-	mSheds.Inc()
 	if tid != 0 {
 		obs.Emit(obs.Event{Kind: obs.KindDegrade, Trace: tid, Fn: fn,
 			Tier: obs.TierNone, Reason: ReasonOverload, Shard: int32(sh.id) + 1})
@@ -715,7 +703,6 @@ func (sh *shard) shedArrivalLocked(fn uint64, prio Priority, tid obs.TraceID) *T
 // Close. Shard mu held.
 func (sh *shard) shedFlightLocked(f *flight, reason string, err error) {
 	sh.st.sheds[f.prio].Add(1)
-	mSheds.Inc()
 	if f.cacheable {
 		delete(sh.inflight, f.k)
 		if sh.derefEntryLocked(f.ek, f.entry) {
@@ -745,7 +732,6 @@ func (s *Service) dropDeadSlot(k cacheKey, cv cacheVal) {
 	}
 	owner := s.shardOf(cv.ek)
 	owner.st.evictions.Add(1)
-	mCacheEvictions.Inc()
 	owner.untrack(cv.v)
 	owner.mu.Lock()
 	release := owner.derefEntryLocked(cv.ek, cv.e)
@@ -793,7 +779,6 @@ func (sh *shard) worker() {
 				sh.mu.Unlock()
 				return
 			}
-			sh.depth.Set(int64(sh.q.len()))
 			// Deadline shed: a flight that already waited past its class
 			// SLO is completed degraded instead of traced — the worker's
 			// time goes to requests that can still meet their deadline.
@@ -825,23 +810,14 @@ func (sh *shard) worker() {
 		}
 		if warm {
 			sh.st.warmHits.Add(1)
-			mWarmHits.Inc()
 		} else {
 			sh.st.traces.Add(1)
-			mTraces.Inc()
 			rwStart := obs.Now()
 			start := time.Now()
 			out, rerr = brew.Do(s.m, f.req)
 			elapsed := time.Since(start)
 			obs.EndSpanOn(sh.id, f.trace, obs.StageRewrite, tier, rwStart, f.req.Fn, f.link)
 			sh.observeRewriteNS(uint64(elapsed.Nanoseconds()))
-			us := uint64(elapsed.Microseconds())
-			mLatencyUS.Observe(us)
-			if f.req.Config.Effort == brew.EffortQuick {
-				mLatencyQuickUS.Observe(us)
-			} else {
-				mLatencyFullUS.Observe(us)
-			}
 		}
 
 		if f.promo {
@@ -884,7 +860,6 @@ func (sh *shard) completeCacheable(f *flight, out *brew.Outcome, rerr error, war
 		// as siblings or slots reference it; the last reference orphans it
 		// (its handed-out Addr stays callable until Close).
 		sh.st.degraded.Add(1)
-		mDegraded.Inc()
 		res.Degraded = true
 		res.Err = rerr
 		if out != nil {
@@ -899,7 +874,6 @@ func (sh *shard) completeCacheable(f *flight, out *brew.Outcome, rerr error, war
 		return res
 	}
 	sh.st.promoted.Add(1)
-	mPromotions.Inc()
 	// Track BEFORE publishing to the cache: the moment the variant is
 	// visible there, a racing put can evict and remove it, and that
 	// eviction's untrack must find the registration — a track added after
@@ -936,7 +910,6 @@ func (sh *shard) completeCacheable(f *flight, out *brew.Outcome, rerr error, war
 func (s *Service) evictVictim(victim cacheVal, justInstalled *specmgr.Variant) {
 	owner := s.shardOf(victim.ek)
 	owner.st.evictions.Add(1)
-	mCacheEvictions.Inc()
 	if victim.v != justInstalled {
 		owner.untrack(victim.v)
 		s.mgr.RemoveVariant(victim.e, victim.v)
@@ -960,10 +933,8 @@ func (sh *shard) completeUncacheable(f *flight, out *brew.Outcome, rerr error) O
 	res := Outcome{Entry: f.entry, Addr: f.entry.Addr()}
 	if promoted {
 		sh.st.promoted.Add(1)
-		mPromotions.Inc()
 	} else {
 		sh.st.degraded.Add(1)
-		mDegraded.Inc()
 		res.Degraded = true
 		res.Err = rerr
 		if out != nil {
@@ -992,7 +963,6 @@ func (s *Service) Close() {
 		for f := sh.q.pop(); f != nil; f = sh.q.pop() {
 			drained = append(drained, f)
 		}
-		sh.depth.Set(0)
 		var unref []*specmgr.Entry
 		for _, f := range drained {
 			if f.cacheable {

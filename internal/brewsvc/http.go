@@ -12,8 +12,8 @@ import (
 // addr (e.g. "127.0.0.1:0" to bind an ephemeral port) and returns the
 // bound address plus a stop function. Endpoints:
 //
-//	/metrics  Prometheus text exposition: every telemetry instrument
-//	          plus the per-stage/per-tier span summaries (obs.WriteProm)
+//	/metrics  Prometheus text exposition: the per-stage/per-tier span
+//	          summaries and the flight-recorder sequence (obs.WriteProm)
 //	/inspect  the Inspection snapshot as JSON
 //	/events   the full flight-recorder dump as JSON
 //	/         the rendered Inspection (the brew-top dashboard as text)

@@ -270,7 +270,6 @@ func (sh *shard) pumpLocked() []*Ticket {
 		f.tickets = []*Ticket{t}
 		tr.queued = true
 		sh.q.push(f)
-		sh.depth.Set(int64(sh.q.len()))
 		sh.cond.Signal()
 		tickets = append(tickets, t)
 	}
@@ -286,7 +285,6 @@ func (sh *shard) completePromotion(f *flight, out *brew.Outcome, rerr error) {
 	res := Outcome{Entry: f.entry, Addr: f.entry.Addr(), Variant: f.variant}
 	if ok {
 		sh.st.tierPromoted.Add(1)
-		mTierPromotions.Inc()
 		// Persist the optimized body under its (EffortFull) content
 		// address: a warm start then adopts straight at tier-1.
 		if s.cfg.store != nil {
@@ -294,7 +292,6 @@ func (sh *shard) completePromotion(f *flight, out *brew.Outcome, rerr error) {
 		}
 	} else {
 		sh.st.tierDemoted.Add(1)
-		mTierDemotions.Inc()
 		res.Degraded = true
 		res.Err = rerr
 		if out != nil {

@@ -1,10 +1,11 @@
 // Package obs is the request-lifecycle observability layer for the
 // specialization service: a span-based tracer, a lock-free ring-buffer
-// flight recorder, and a Prometheus-style exposition of both together
-// with the internal/telemetry registry.
+// flight recorder, and a Prometheus-style exposition of both.
 //
-// Like the telemetry registry, every entry point is zero-cost when
-// observation is disabled: the hot path pays one atomic load (plus
+// It is the one process-wide observation plane; the counters each
+// instance keeps for itself (brewsvc.Stats, vm.Stats, spstore.Stats, ...)
+// are always on and need no gate. Every entry point here is zero-cost
+// when observation is disabled: the hot path pays one atomic load (plus
 // building a stack-resident argument struct) and never allocates. When
 // enabled:
 //
@@ -32,9 +33,8 @@ import (
 	"time"
 )
 
-// enabled gates every instrument update, package-level so the hot-path
-// check is a single atomic load with no pointer chase (the telemetry
-// pattern).
+// enabled gates every span and event, package-level so the hot-path
+// check is a single atomic load with no pointer chase.
 var enabled atomic.Bool
 
 // Enable turns on lifecycle observation process-wide.

@@ -3,45 +3,14 @@ package obs
 import (
 	"fmt"
 	"io"
-	"strings"
-
-	"repro/internal/telemetry"
 )
 
-// WriteProm renders the full observability surface in Prometheus text
-// exposition format: every instrument in the telemetry.Default registry
-// (counters as-is, gauges as-is, histograms with cumulative le buckets
-// plus _count/_sum and rank-exact quantile gauges) followed by the
-// observer's per-stage/per-tier span statistics as
-// brew_span_ns{stage=...,tier=...,quantile=...} summaries. Output is
-// deterministic: both sources snapshot in sorted order.
+// WriteProm renders the observer in Prometheus text exposition format:
+// the per-stage/per-tier span statistics as
+// brew_span_ns{stage=...,tier=...,quantile=...} summaries, then the flight
+// recorder's sequence number as brew_flight_recorder_seq. Output is
+// deterministic: the tracer snapshots in sorted order.
 func (o *Observer) WriteProm(w io.Writer) error {
-	for _, m := range telemetry.Default.Snapshot() {
-		name := promName(m.Name)
-		switch m.Kind {
-		case "counter":
-			fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", name, name, m.Value)
-		case "gauge":
-			fmt.Fprintf(w, "# TYPE %s gauge\n%s %d\n", name, name, m.Gauge)
-		case "histogram":
-			fmt.Fprintf(w, "# TYPE %s histogram\n", name)
-			var cum uint64
-			for _, b := range m.Buckets {
-				cum += b.Count
-				if b.Overflow {
-					fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, cum)
-				} else {
-					fmt.Fprintf(w, "%s_bucket{le=\"%d\"} %d\n", name, b.UpperBound, cum)
-				}
-			}
-			fmt.Fprintf(w, "%s_sum %d\n%s_count %d\n", name, m.Sum, name, m.Count)
-			if m.Count > 0 {
-				fmt.Fprintf(w, "%s_quantile{quantile=\"0.5\"} %d\n", name, m.P50)
-				fmt.Fprintf(w, "%s_quantile{quantile=\"0.99\"} %d\n", name, m.P99)
-				fmt.Fprintf(w, "%s_quantile{quantile=\"0.999\"} %d\n", name, m.P999)
-			}
-		}
-	}
 	stages := o.Tracer.Snapshot()
 	if len(stages) > 0 {
 		fmt.Fprintf(w, "# TYPE brew_span_ns summary\n")
@@ -57,10 +26,4 @@ func (o *Observer) WriteProm(w io.Writer) error {
 	fmt.Fprintf(w, "# TYPE brew_flight_recorder_seq counter\nbrew_flight_recorder_seq %d\n",
 		o.Recorder.Seq())
 	return nil
-}
-
-// promName maps a registry metric name ("brewsvc.queue_depth") to a
-// Prometheus-legal one ("brewsvc_queue_depth").
-func promName(name string) string {
-	return strings.NewReplacer(".", "_", "-", "_", "/", "_").Replace(name)
 }

@@ -4,8 +4,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/telemetry"
 )
 
 // maxExactSamples caps the raw-sample buffer of one (stage, tier) cell.
@@ -15,8 +13,14 @@ import (
 const maxExactSamples = 1 << 14
 
 // stageBounds are the exponential nanosecond bucket bounds backing the
-// past-cap fallback: 250ns doubling to ~8.6s (26 buckets).
-var stageBounds = telemetry.ExponentialBounds(250, 2, 26)
+// past-cap fallback: 250ns doubling to ~8.4s (26 buckets).
+var stageBounds = func() []uint64 {
+	b := make([]uint64, 26)
+	for i := range b {
+		b[i] = 250 << i
+	}
+	return b
+}()
 
 // durStat aggregates one (stage, tier) cell: count/sum/max, exact raw
 // samples up to maxExactSamples, and exponential bucket counts for the

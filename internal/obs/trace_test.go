@@ -4,8 +4,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"repro/internal/telemetry"
 )
 
 func resetObs(t *testing.T) {
@@ -171,19 +169,27 @@ func TestQuantileFallbackPastCap(t *testing.T) {
 	}
 }
 
-// Prometheus exposition renders telemetry + stage summaries and parses
-// as line-oriented name/value pairs.
+// The past-cap fallback buckets are 250 ns doubling, 26 of them (up to
+// ~8.4 s).
+func TestStageBounds(t *testing.T) {
+	if len(stageBounds) != 26 {
+		t.Fatalf("len(stageBounds) = %d, want 26", len(stageBounds))
+	}
+	want := uint64(250)
+	for i, b := range stageBounds {
+		if b != want {
+			t.Fatalf("stageBounds[%d] = %d, want %d", i, b, want)
+		}
+		want *= 2
+	}
+}
+
+// Prometheus exposition renders the stage summaries and the recorder
+// sequence number as line-oriented name/value pairs.
 func TestWritePromSmoke(t *testing.T) {
 	resetObs(t)
-	telemetry.Default.Reset()
-	telemetry.Enable()
-	defer func() {
-		telemetry.Disable()
-		telemetry.Default.Reset()
-	}()
 	Enable()
 
-	telemetry.Default.Counter("obs.test_counter").Add(7)
 	tid := StartTrace()
 	EndSpan(tid, StageRewrite, TierQuick, Now(), 0xabc, 0)
 
@@ -193,7 +199,6 @@ func TestWritePromSmoke(t *testing.T) {
 	}
 	out := b.String()
 	for _, want := range []string{
-		"obs_test_counter 7",
 		`brew_span_ns{stage="rewrite",tier="quick",quantile="0.5"}`,
 		"brew_flight_recorder_seq",
 	} {

@@ -18,18 +18,7 @@ import (
 
 	"repro/internal/brew"
 	"repro/internal/minc"
-	"repro/internal/telemetry"
 	"repro/internal/vm"
-)
-
-// PGAS metrics: fine-grained local vs remote element accesses and RDMA
-// bulk-prefetch traffic. Counts come from zero-cost vm.RegionCost probes
-// over the partitions, published at operation boundaries.
-var (
-	mLocalAccesses  = telemetry.Default.Counter("pgas.local_accesses")
-	mRemoteAccesses = telemetry.Default.Counter("pgas.remote_accesses")
-	mRdmaPreloads   = telemetry.Default.Counter("pgas.rdma_preloads")
-	mRdmaBytes      = telemetry.Default.Counter("pgas.rdma_bytes")
 )
 
 // MaxNodes bounds the simulated node count (the GArr descriptor holds a
@@ -129,10 +118,7 @@ type System struct {
 	prefBuf uint64
 	prefCap int
 	remotes []*vm.RegionCost
-	locals  []*vm.RegionCost // zero-cost probes: local partition + prefetch buffer
 	det     *detector
-
-	pubLocal, pubRemote uint64 // last published access counts
 }
 
 // New builds a system with nnodes partitions of bs elements each,
@@ -161,7 +147,8 @@ func New(m *vm.Machine, nnodes, bs, me int) (*System, error) {
 	if s.Garr, err = l.GlobalAddr("garr"); err != nil {
 		return nil, err
 	}
-	// Partitions; remote ones cost extra per access.
+	// Partitions, each a machine region that counts its accesses; remote
+	// ones cost extra per access.
 	for n := 0; n < nnodes; n++ {
 		p, err := m.AllocHeap(uint64(bs * 8))
 		if err != nil {
@@ -172,21 +159,17 @@ func New(m *vm.Machine, nnodes, bs, me int) (*System, error) {
 		if n != me {
 			rc.Extra = RemoteAccessCost
 			s.remotes = append(s.remotes, rc)
-		} else {
-			s.locals = append(s.locals, rc)
 		}
 		m.RegionCosts = append(m.RegionCosts, rc)
 	}
 	m.FuncCost[s.RdmaGet] = RdmaCallCost
 
-	// Prefetch buffer: one partition's worth.
+	// Prefetch buffer: one partition's worth, counted like a local one.
 	s.prefCap = bs
 	if s.prefBuf, err = m.AllocHeap(uint64(bs * 8)); err != nil {
 		return nil, err
 	}
-	prc := &vm.RegionCost{Base: s.prefBuf, End: s.prefBuf + uint64(bs*8)}
-	m.RegionCosts = append(m.RegionCosts, prc)
-	s.locals = append(s.locals, prc)
+	m.RegionCosts = append(m.RegionCosts, &vm.RegionCost{Base: s.prefBuf, End: s.prefBuf + uint64(bs*8)})
 
 	// Fill the descriptor.
 	w := func(off int, v uint64) error { return m.Mem.Write64(s.Garr+uint64(off), v) }
@@ -240,24 +223,6 @@ func (s *System) Sum(from, to int) (float64, error) {
 	return s.SumWith(s.GSum, s.PgasGet, from, to)
 }
 
-// publishTelemetry pushes local/remote access deltas since the last
-// publication into the default registry.
-func (s *System) publishTelemetry() {
-	if !telemetry.Enabled() {
-		return
-	}
-	var local, remote uint64
-	for _, rc := range s.locals {
-		local += rc.Count
-	}
-	for _, rc := range s.remotes {
-		remote += rc.Count
-	}
-	mLocalAccesses.Add(local - s.pubLocal)
-	mRemoteAccesses.Add(remote - s.pubRemote)
-	s.pubLocal, s.pubRemote = local, remote
-}
-
 // SpecializeSum rewrites gsum for the current distribution: descriptor
 // known (block size, executing node, partition table fold; a power-of-two
 // block size strength-reduces the index translation), getter inlined. The
@@ -299,8 +264,6 @@ func (s *System) Preload(lo, hi int) error {
 	}
 	// One protocol round plus per-element wire cost, charged up front.
 	s.M.Stats.Cycles += RdmaCallCost + uint64(hi-lo)*8
-	mRdmaPreloads.Inc()
-	mRdmaBytes.Add(uint64(hi-lo) * 8)
 	w := func(off int, v uint64) error { return s.M.Mem.Write64(s.Garr+uint64(off), v) }
 	if err := w(offPref, s.prefBuf); err != nil {
 		return err
@@ -333,9 +296,7 @@ func (s *System) SpecializeSumPrefetched() (*brew.Result, error) {
 // SumWith runs a (possibly rewritten) reduction entry with the given
 // getter argument.
 func (s *System) SumWith(fn, getter uint64, from, to int) (float64, error) {
-	v, err := s.M.CallFloat(fn, []uint64{s.Garr, uint64(from), uint64(to), getter}, nil)
-	s.publishTelemetry()
-	return v, err
+	return s.M.CallFloat(fn, []uint64{s.Garr, uint64(from), uint64(to), getter}, nil)
 }
 
 // RemoteAccesses reports the number of fine-grained accesses that hit

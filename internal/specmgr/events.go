@@ -9,8 +9,8 @@ import (
 // performs (install, evict, demote, entry deopt, watchpoint hit, guard
 // storm, degrade) emits one structured obs.Event, so a chaos-test
 // post-mortem or brew-top can replay exactly what happened and why. The
-// emit helpers self-gate on obs.Enabled like the telemetry counters and
-// are safe under mgr.mu (the recorder is lock-free).
+// emit helpers cost one atomic load while obs is disabled and are safe
+// under mgr.mu (the recorder is lock-free).
 
 func obsTier(eff brew.Effort) obs.Tier {
 	if eff == brew.EffortQuick {
@@ -35,9 +35,8 @@ func emitVariant(kind obs.Kind, e *Entry, v *Variant, reason string) {
 	obs.Emit(ev)
 }
 
-// publishDegrade counts a degradation and records it with its reason.
-func publishDegrade(e *Entry, reason string) {
-	mDegraded.Inc()
+// emitDegrade records a degradation with its reason.
+func emitDegrade(e *Entry, reason string) {
 	if !obs.Enabled() {
 		return
 	}

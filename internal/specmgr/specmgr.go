@@ -261,20 +261,19 @@ func (g *Manager) registerNew(e *Entry, out *brew.Outcome, rerr error) {
 				e.reason = brew.DegradeReason(rerr)
 			}
 		}
-		publishDegrade(e, e.reason)
+		emitDegrade(e, e.reason)
 	case serr != nil:
 		freeOutcome(g.m, out)
 		e.degraded = true
 		e.reason = brew.ReasonCodeBuffer
-		publishDegrade(e, e.reason)
+		emitDegrade(e, e.reason)
 	default:
 		if v := g.installOutcomeLocked(e, e.cfg, e.guards, e.args, e.fargs, out); v != nil {
 			e.primary = v
-			mSpecializations.Inc()
 		} else {
 			// installOutcomeLocked degraded the entry (chain allocation
-			// failed); count it with the other degradations.
-			publishDegrade(e, e.reason)
+			// failed); record it with the other degradations.
+			emitDegrade(e, e.reason)
 		}
 	}
 	if old := g.entries[e.fn]; old != nil {
@@ -578,18 +577,15 @@ func (g *Manager) respecializeLocked(e *Entry) {
 		// Stay deoptimized at generic speed; the stub already routes to
 		// the original function. Next deopt (i.e. never, until a manual
 		// one) may retry.
-		mRespecFailures.Inc()
 		e.degraded = true
 		e.reason = brew.DegradeReason(err)
 		return
 	}
 	v := g.installOutcomeLocked(e, cfg, guards, args, fargs, out)
 	if v == nil {
-		mRespecFailures.Inc()
 		return
 	}
 	e.primary = v
-	mRespecializations.Inc()
 }
 
 // Release removes an entry and frees its stub, variant bodies and
@@ -655,7 +651,6 @@ func (g *Manager) evictOverLimitLocked(keep *Entry) {
 		}
 		delete(g.entries, victim.fn)
 		g.releaseLocked(victim)
-		mEvictions.Inc()
 		emitVariant(obs.KindVariantEvict, victim, nil, "entry-lru")
 	}
 }

@@ -170,7 +170,7 @@ func (g *Manager) InstallVariant(e *Entry, cfg *brew.Config, guards []brew.Param
 				e.reason = reason
 			}
 		}
-		publishDegrade(e, reason)
+		emitDegrade(e, reason)
 		return nil, false
 	}
 	if e.stub.Load() == 0 {
@@ -179,12 +179,12 @@ func (g *Manager) InstallVariant(e *Entry, cfg *brew.Config, guards []brew.Param
 			e.degraded = true
 			e.reason = brew.ReasonCodeBuffer
 		}
-		publishDegrade(e, brew.ReasonCodeBuffer)
+		emitDegrade(e, brew.ReasonCodeBuffer)
 		return nil, false
 	}
 	v := g.installOutcomeLocked(e, cfg, guards, args, fargs, out)
 	if v == nil {
-		publishDegrade(e, e.reason)
+		emitDegrade(e, e.reason)
 		return nil, false
 	}
 	if wasPending || e.primary == nil || !e.primary.live.Load() {
@@ -192,7 +192,6 @@ func (g *Manager) InstallVariant(e *Entry, cfg *brew.Config, guards []brew.Param
 	}
 	g.clock++
 	e.lastUse = g.clock
-	mSpecializations.Inc()
 	return v, true
 }
 
@@ -263,7 +262,6 @@ func (g *Manager) RemoveVariant(e *Entry, v *Variant) {
 		return
 	}
 	g.demoteVariantLocked(e, v, DeoptEvicted)
-	mVariantEvictions.Inc()
 	emitVariant(obs.KindVariantEvict, e, v, DeoptEvicted)
 	g.compactLocked(e)
 }
@@ -489,7 +487,6 @@ func (g *Manager) demoteVariantLocked(e *Entry, v *Variant, reason string) {
 		g.patchStub(stub, e.fn)
 	}
 	v.jmpAddr, v.nextAddr = 0, 0
-	mVariantDemotions.Inc()
 	emitVariant(obs.KindVariantDemote, e, v, reason)
 	if !e.hasLiveLocked() && !e.pending && !e.degraded && !e.deopted {
 		if stub != 0 {
@@ -498,7 +495,6 @@ func (g *Manager) demoteVariantLocked(e *Entry, v *Variant, reason string) {
 		e.deopted = true
 		e.respecDone = false
 		e.reason = reason
-		publishDeopt(reason)
 		emitVariant(obs.KindEntryDeopt, e, nil, reason)
 	}
 }
@@ -569,7 +565,6 @@ func (g *Manager) evictVariantsOverLimitLocked(e *Entry, keep *Variant) {
 			return
 		}
 		g.retireVariantLocked(victim)
-		mVariantEvictions.Inc()
 		emitVariant(obs.KindVariantEvict, e, victim, "table-lru")
 	}
 }
@@ -584,7 +579,6 @@ func (g *Manager) armVariantWatches(v *Variant) {
 				// Fires from the store path mid-execution, outside mgr.mu
 				// (no managed code runs while the lock is held, so this
 				// cannot deadlock).
-				mWatchHits.Inc()
 				g.mu.Lock()
 				emitVariant(obs.KindWatchHit, e, v, DeoptAssumption)
 				g.demoteVariantLocked(e, v, DeoptAssumption)

@@ -157,7 +157,6 @@ func (s *Store) Adopt(m *vm.Machine, cfg *brew.Config, fn uint64, args []uint64,
 	s.st.revalNS.Add(int64(time.Since(t0)))
 	if rerr != nil {
 		s.st.revalFail(rerr.step)
-		mRevalFails.Inc()
 		if !rerr.keep {
 			s.Quarantine(k, rerr.step)
 		}
@@ -165,10 +164,8 @@ func (s *Store) Adopt(m *vm.Machine, cfg *brew.Config, fn uint64, args []uint64,
 		return nil, rec, rerr
 	}
 	s.st.warmHits.Add(1)
-	mWarmHits.Inc()
 	if out.Addr != rec.CodeAddr {
 		s.st.relocated.Add(1)
-		mRelocated.Inc()
 	}
 	emitPersist(obs.Event{Kind: obs.KindPersist, Fn: fn, Addr: out.Addr, Reason: "warm-adopt"})
 	return out, rec, nil

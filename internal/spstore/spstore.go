@@ -270,7 +270,6 @@ func (s *Store) Put(rec *Record) error {
 	}
 	s.bumpGeneration()
 	s.st.puts.Add(1)
-	mPuts.Inc()
 	return nil
 }
 
@@ -468,7 +467,6 @@ func (s *Store) Get(k Key) (*Record, bool) {
 		rec, derr := decodeRecord(b)
 		if derr == nil && rec.Key == key {
 			s.st.localHits.Add(1)
-			mLocalHits.Inc()
 			return rec, true
 		}
 		reason := "key mismatch"
@@ -478,7 +476,6 @@ func (s *Store) Get(k Key) (*Record, bool) {
 		s.Quarantine(k, reason)
 	}
 	s.st.localMisses.Add(1)
-	mLocalMisses.Inc()
 	return nil, false
 }
 
@@ -494,8 +491,18 @@ func (s *Store) Quarantine(k Key, reason string) {
 	}
 	s.retire(name)
 	s.st.quarantined.Add(1)
-	mQuarantined.Inc()
 	emitPersist(obs.Event{Kind: obs.KindPersist, Reason: "quarantine: " + reason})
+}
+
+// emitPersist records a KindPersist flight-recorder event when the
+// tracer is enabled (the Kind is pre-set by callers; Reason carries the
+// specific lifecycle step).
+func emitPersist(e obs.Event) {
+	if !obs.Enabled() {
+		return
+	}
+	e.Tier = obs.TierNone
+	obs.Emit(e)
 }
 
 // Info summarizes one stored record for ls/fsck listings.
@@ -622,7 +629,6 @@ func (s *Store) Fsck(quarantine bool) (*FsckReport, error) {
 					s.retire(e.Name())
 				}
 				s.st.quarantined.Add(1)
-				mQuarantined.Inc()
 			}
 			rep.Quarantined++
 		}

@@ -30,7 +30,6 @@ func (m *Machine) Call(fn uint64, args ...uint64) (uint64, error) {
 		return 0, err
 	}
 	err := m.Run(m.stepLimit())
-	m.PublishTelemetry()
 	if err != nil {
 		return 0, err
 	}
@@ -44,7 +43,6 @@ func (m *Machine) CallFloat(fn uint64, intArgs []uint64, fArgs []float64) (float
 		return 0, err
 	}
 	err := m.Run(m.stepLimit())
-	m.PublishTelemetry()
 	if err != nil {
 		return 0, err
 	}

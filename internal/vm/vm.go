@@ -56,23 +56,6 @@ type Stats struct {
 	OpCount       [isa.NumOpcodes]uint64
 }
 
-// Sub returns s - t, counter-wise; used to attribute costs to a region of
-// execution.
-func (s Stats) Sub(t Stats) Stats {
-	out := s
-	out.Instructions -= t.Instructions
-	out.Cycles -= t.Cycles
-	out.Loads -= t.Loads
-	out.Stores -= t.Stores
-	out.Branches -= t.Branches
-	out.TakenBranches -= t.TakenBranches
-	out.Calls -= t.Calls
-	for i := range out.OpCount {
-		out.OpCount[i] -= t.OpCount[i]
-	}
-	return out
-}
-
 // RegionCost adds extra access latency for an address range; the PGAS
 // substrate uses it to model remote-node (RDMA) memory.
 type RegionCost struct {
@@ -124,11 +107,6 @@ type Machine struct {
 	// of its own: like every hook above it is folded into the one armed
 	// check the instruction loop makes. It never charges emulated cycles.
 	Prof *Profiler
-
-	// Telemetry delta baselines: counters already published to the
-	// process-wide registry at the last Call/CallFloat boundary.
-	pubStats Stats
-	pubCache []cacheLevelStats
 
 	// jitMu serializes JIT allocation and installation, allowing several
 	// rewrites to run concurrently (their traces only read memory), and

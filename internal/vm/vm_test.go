@@ -349,10 +349,6 @@ d: .quad 1
 	if st.OpCount[isa.SUBI] != 4 {
 		t.Errorf("subi count = %d", st.OpCount[isa.SUBI])
 	}
-	diff := st.Sub(vm.Stats{Instructions: 1})
-	if diff.Instructions != st.Instructions-1 {
-		t.Error("Stats.Sub broken")
-	}
 }
 
 func TestFuncCostAndRegionCost(t *testing.T) {

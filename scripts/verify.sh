@@ -91,13 +91,10 @@ if [ "${RACE:-1}" = 1 ]; then
     # goroutines calling Do side by side (TestRewriteBatch*), eight
     # concurrent Do of one request on one machine
     # (TestConcurrentDo), goroutines fingerprinting one shared Config
-    # while others clone and mutate it (TestFingerprintNeverStale), the
-    # oracle's window bookkeeping, and the
-    # lock-free telemetry registry (full package: it is small and heavily
-    # atomic).
-    echo "== go test -race (short budget: brew, oracle, telemetry)"
+    # while others clone and mutate it (TestFingerprintNeverStale), and the
+    # oracle's window bookkeeping.
+    echo "== go test -race (short budget: brew, oracle)"
     go test -race -short -run "$BREW_RACE_RUN" ./internal/brew/ ./internal/oracle/
-    go test -race ./internal/telemetry/
     # The specialization manager and fault injector are concurrency-bearing
     # by design (watchpoint handlers, eviction racing respecialization);
     # run their full suites under the race detector (-short caps the chaos
