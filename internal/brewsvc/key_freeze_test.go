@@ -69,7 +69,7 @@ func keyPopulation() []*brewsvc.Request {
 // TestKeyFreeze pins the service's keys over the seeded requests to the
 // values in key_golden_test.go: the cache key and entry key words
 // (KeyWords) and the owning shard of an 8-shard service. Shard routing,
-// cache-shard LRU eviction and store keys all follow these values, so
+// cache-shard eviction and store keys all follow these values, so
 // the golden is never re-pinned for a refactor of key derivation.
 func TestKeyFreeze(t *testing.T) {
 	svc := brewsvc.Open(vm.MustNew(), brewsvc.WithShards(8), brewsvc.WithWorkers(1))

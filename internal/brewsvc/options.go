@@ -14,7 +14,7 @@ type svcConfig struct {
 	queueCap int // bounded-queue capacity per shard
 
 	cacheShards   int // specialized-code cache shards (global across service shards)
-	cachePerShard int // LRU capacity per cache shard
+	cachePerShard int // slot capacity per cache shard (CLOCK eviction)
 
 	policy       specmgr.Policy
 	promoteAfter int
@@ -68,11 +68,12 @@ func WithQueueCap(n int) Option {
 	}
 }
 
-// WithCache sets the specialized-code cache geometry: shard count and LRU
-// capacity per shard (defaults 8 and 32). The cache is global across
-// service shards and its serve path is lock-free; size it generously —
-// eviction releases the entry's code, so an evicted entry's Addr must no
-// longer be used (the specmgr.Release contract).
+// WithCache sets the specialized-code cache geometry: shard count and slot
+// capacity per shard (defaults 8 and 32); a full shard evicts by CLOCK
+// (second chance). The cache is global across service shards and its
+// serve path is lock-free; size it generously — eviction releases the
+// entry's code, so an evicted entry's Addr must no longer be used (the
+// specmgr.Release contract).
 func WithCache(shards, perShard int) Option {
 	return func(c *svcConfig) {
 		if shards > 0 {

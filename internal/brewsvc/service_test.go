@@ -373,8 +373,8 @@ func TestRewriteBehind(t *testing.T) {
 	}
 }
 
-// TestCacheEviction: over-capacity inserts evict LRU entries and release
-// their code; nothing leaks at Close.
+// TestCacheEviction: over-capacity inserts evict entries by CLOCK (second
+// chance) and release their code; nothing leaks at Close.
 func TestCacheEviction(t *testing.T) {
 	m, w := newStencil(t)
 	baseline := m.JITFreeBytes()

@@ -11,9 +11,9 @@ import (
 )
 
 // TestCachePutSameKeyCollision: a same-key put returns the displaced slot
-// as a victim and the slot serves the new variant afterwards; LRU
-// eviction never selects the just-inserted variant; remove only drops a
-// slot that still serves the given variant.
+// as a victim and the slot serves the new variant afterwards; CLOCK
+// (second chance) eviction never selects the just-inserted variant;
+// remove only drops a slot that still serves the given variant.
 func TestCachePutSameKeyCollision(t *testing.T) {
 	c := newCache(1, 2)
 	e := new(specmgr.Entry)
@@ -47,16 +47,17 @@ func TestCachePutSameKeyCollision(t *testing.T) {
 		t.Fatalf("len = %d after remove, want 0", c.len())
 	}
 
-	// Over capacity, the LRU victim goes — never the just-inserted one.
+	// Over capacity, the slot without a second chance goes — never the
+	// just-inserted one.
 	c.put(k1, cacheVal{e: e, v: v1})
 	c.put(k2, cacheVal{e: e, v: v2})
-	c.get(k1) // touch k1 so k2 is the LRU slot
+	c.get(k1) // set k1's reference bit so the sweep passes over it to k2
 	ev = c.put(k3, cacheVal{e: e, v: v3})
 	if len(ev) != 1 || ev[0].v != v2 {
-		t.Fatalf("capacity victims = %v, want the LRU v2 slot", ev)
+		t.Fatalf("capacity victims = %v, want the unreferenced v2 slot", ev)
 	}
 	if got, ok := c.get(k3); !ok || got.v != v3 {
-		t.Fatal("just-inserted slot missing after LRU eviction")
+		t.Fatal("just-inserted slot missing after CLOCK eviction")
 	}
 }
 

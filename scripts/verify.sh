@@ -18,7 +18,7 @@ go vet ./...
 FREEZE_RUN='TestFreezeNet$|TestFreezeNetUnderCollisions|TestLayoutTwoBases'
 BREW_RACE_RUN='TestRewriteBatch|TestConcurrentDo|TestGenerated|TestOracle|TestCompareMemory|TestRollback|TestFingerprintNeverStale'
 LOCKSTAT_RUN='TestWarmPathZeroLocks|TestShardRouting|TestCrossShardIsolation|TestSubmitBatch|TestAdmission'
-WARM_RUN='TestFingerprintFreeze|TestKeyFreeze|TestWarmHitAllocs|TestFingerprintNeverStale'
+WARM_RUN='TestFingerprintFreeze|TestKeyFreeze|TestWarmHitAllocs|TestFingerprintNeverStale|TestCacheFreezeNet|TestCacheClockReadersVsWriter'
 
 # require_tests PATTERN [go test flags] PACKAGE...: fail unless every
 # |-separated alternative of PATTERN lists at least one test.
