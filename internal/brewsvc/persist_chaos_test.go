@@ -150,7 +150,9 @@ func TestPersistChaosStoreFaultsNeverWrong(t *testing.T) {
 	// directory, so corrupt records written by one round ambush the next
 	// round's warm start.
 	var fired uint64
-	rounds := 0
+	rounds, fallbacks := 0, 0
+	firedBy := make(map[faultinject.Point]uint64)
+	logFiredPerPoint(t, faultinject.StorePoints, firedBy, &rounds, &fallbacks)
 	for seed := int64(1); fired < target; seed++ {
 		rounds++
 		inj := faultinject.New(seed)
@@ -161,6 +163,7 @@ func TestPersistChaosStoreFaultsNeverWrong(t *testing.T) {
 		on := [...]bool{seed%2 == 1, (seed/2)%2 == 1, (seed/4)%2 == 1, (seed/3)%2 == 1}
 		if on == [4]bool{} {
 			on[(seed/8)%4] = true
+			fallbacks++
 		}
 		for i, p := range faultinject.StorePoints {
 			if on[i] {
@@ -169,6 +172,9 @@ func TestPersistChaosStoreFaultsNeverWrong(t *testing.T) {
 		}
 		round(seed, inj)
 		fired += inj.TotalFired()
+		for _, p := range faultinject.StorePoints {
+			firedBy[p] += inj.Fired(p)
+		}
 	}
 
 	// Convergence: the first clean round re-traces whatever the last
