@@ -10,6 +10,8 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/brew"
@@ -283,22 +285,35 @@ func FuzzDecodeRecord(f *testing.F) {
 }
 
 // TestDigestSingleBitFlips: every single-bit flip of a 16 KB window — the
-// original-code window's cap — changes the digest.
+// original-code window's cap — changes the digest of the whole window. The
+// bytes are split across GOMAXPROCS goroutines, each flipping bits in its
+// own copy of the window.
 func TestDigestSingleBitFlips(t *testing.T) {
 	w := make([]byte, origWindowCap)
 	for i := range w {
 		w[i] = byte(i*131 + i>>8)
 	}
 	base := digest(w)
-	for i := range w {
-		for bit := 0; bit < 8; bit++ {
-			w[i] ^= 1 << bit
-			if digest(w) == base {
-				t.Fatalf("bit %d of byte %d flipped, digest unchanged", bit, i)
+	per := (len(w) + runtime.GOMAXPROCS(0) - 1) / runtime.GOMAXPROCS(0)
+	var wg sync.WaitGroup
+	for lo := 0; lo < len(w); lo += per {
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			m := slices.Clone(w)
+			for i := lo; i < hi; i++ {
+				for bit := 0; bit < 8; bit++ {
+					m[i] ^= 1 << bit
+					if digest(m) == base {
+						t.Errorf("bit %d of byte %d flipped, digest unchanged", bit, i)
+						return
+					}
+					m[i] ^= 1 << bit
+				}
 			}
-			w[i] ^= 1 << bit
-		}
+		}(lo, min(lo+per, len(w)))
 	}
+	wg.Wait()
 }
 
 // TestDigestTopBitPairs: flipping the top bit of two different words
