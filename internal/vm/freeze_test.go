@@ -11,6 +11,7 @@ package vm_test
 // To see what moved after a failure: go test ./internal/vm -run Freeze -freeze.print
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
@@ -688,6 +689,8 @@ buf:
 type runStepMachine struct {
 	m               *vm.Machine
 	main, bump, buf uint64
+	code            []byte // the program as loaded, restored by reset
+	codeBase        uint64
 	d               *digester // the callback log of the current attempt
 	finish          func()
 }
@@ -699,7 +702,8 @@ func newRunStepMachine(t *testing.T, src string) *runStepMachine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &runStepMachine{m: m, main: im.MustEntry("main"), bump: im.MustEntry("bump"), buf: im.MustEntry("buf")}
+	return &runStepMachine{m: m, main: im.MustEntry("main"), bump: im.MustEntry("bump"), buf: im.MustEntry("buf"),
+		code: im.Code, codeBase: im.CodeBase}
 }
 
 // reset puts the machine back to the state before the first instruction of
@@ -718,6 +722,16 @@ func (r *runStepMachine) reset(t *testing.T, armed bool) {
 	m.CPU = vm.CPU{}
 	m.Stats = vm.Stats{}
 	m.Cache.Reset()
+	// A program that patched its own code gets it back, and with it a
+	// cold decode; one that did not keeps its decoded records.
+	if now, err := m.Mem.Slice(r.codeBase, len(r.code), 0); err != nil {
+		t.Fatal(err)
+	} else if !bytes.Equal(now, r.code) {
+		if err := m.Mem.WriteBytes(r.codeBase, r.code); err != nil {
+			t.Fatal(err)
+		}
+		m.InvalidateCode(r.codeBase, r.codeBase+uint64(len(r.code)))
+	}
 	if err := m.Mem.WriteBytes(r.buf, make([]byte, 64)); err != nil {
 		t.Fatal(err)
 	}
@@ -759,33 +773,141 @@ func steps(m *vm.Machine, n int) error {
 	return vm.ErrStepLimit
 }
 
-// TestRunEqualsSteps cuts one program at every instruction count n and
+// runStepFaultSrc faults on a load from unmapped memory in the middle of
+// a straight-line stretch, after a loop has run it warm.
+const runStepFaultSrc = `
+main:
+    push  r10
+    movi  r10, buf
+    movi  r1, 3
+    movi  r0, 0
+loop:
+    add   r0, r1
+    store [r10], r0
+    call  bump
+    subi  r1, 1
+    jne   loop
+    movi  r2, 8
+    addi  r0, 1
+    load  r3, [r2]
+    addi  r0, 2
+    store [r10+8], r0
+    pop   r10
+    ret
+bump:
+    addi  r0, 2
+    ret
+.data
+buf:
+    .quad 0, 0, 0, 0
+`
+
+// runStepPatchSrc rewrites, by a word store and then a byte store, the
+// immediate of a 10-byte movi later in the straight-line stretch the
+// stores execute in, and runs the stretch twice; each pass executes what
+// it has just written.
+const runStepPatchSrc = `
+main:
+    push  r10
+    movi  r1, 4
+again:
+    movi  r10, patch
+    movi  r5, 0x2222
+    store [r10+2], r5
+    addi  r1, 7
+    storeb [r10+3], r1
+    addi  r1, 1
+patch:
+    movi  r0, 0x1111111111111111
+    add   r0, r1
+    call  bump
+    subi  r1, 10
+    cmpi  r1, 1
+    jge   again
+    movi  r10, buf
+    store [r10], r0
+    pop   r10
+    ret
+bump:
+    addi  r0, 2
+    ret
+.data
+buf:
+    .quad 0, 0, 0, 0
+`
+
+// runStepLongSrc has one straight-line stretch of 24 instructions between
+// two loops, so most cuts land inside it.
+var runStepLongSrc = `
+main:
+    movi  r1, 2
+    movi  r0, 0
+head:
+    addi  r0, 1
+    subi  r1, 1
+    jne   head
+    movi  r10, buf
+` + strings.Repeat(`    addi  r0, 3
+    store [r10], r0
+    load  r2, [r10]
+    imul  r0, r2
+    fmovi f1, 0.5
+    fadd  f0, f1
+`, 4) + `    movi  r1, 2
+tail:
+    call  bump
+    subi  r1, 1
+    jne   tail
+    ret
+bump:
+    addi  r0, 2
+    ret
+.data
+buf:
+    .quad 0, 0, 0, 0
+`
+
+// TestRunEqualsSteps cuts each program at every instruction count n and
 // checks that Run(n) and n calls of Step leave the same machine behind —
 // registers, flags, PC, Stats, cache counters, memory and, with every hook
-// armed, the same callback sequence — and return the same error.
+// armed, the same callback sequence — and return the same error. Besides
+// the mixed program, the cuts fall inside a straight-line stretch that
+// faults half-way, one that rewrites a later instruction of itself, and a
+// long one.
 func TestRunEqualsSteps(t *testing.T) {
-	for _, armed := range []bool{false, true} {
-		a, b := newRunStepMachine(t, runStepSrc), newRunStepMachine(t, runStepSrc)
-		// A few cuts past the end too: both must stay put on HALT.
-		for n, halted := 1, 0; halted < 3; n++ {
-			if n > 500 {
-				t.Fatal("program did not halt")
+	programs := []struct{ name, src string }{
+		{"mixed", runStepSrc},
+		{"fault-mid-run", runStepFaultSrc},
+		{"store-into-own-run", runStepPatchSrc},
+		{"long-run", runStepLongSrc},
+	}
+	for _, p := range programs {
+		t.Run(p.name, func(t *testing.T) {
+			for _, armed := range []bool{false, true} {
+				a, b := newRunStepMachine(t, p.src), newRunStepMachine(t, p.src)
+				// A few cuts past the end too: both must stay put on HALT
+				// or on the fault.
+				for n, ended := 1, 0; ended < 3; n++ {
+					if n > 500 {
+						t.Fatal("program did not end")
+					}
+					a.reset(t, armed)
+					b.reset(t, armed)
+					errRun, errStep := a.m.Run(int64(n)), steps(b.m, n)
+					if fmt.Sprint(errRun) != fmt.Sprint(errStep) {
+						t.Fatalf("armed=%v n=%d: Run -> %v, Steps -> %v", armed, n, errRun, errStep)
+					}
+					if sa, sb := a.state(t), b.state(t); sa != sb {
+						t.Fatalf("armed=%v n=%d: Run and Step diverge (pc 0x%x vs 0x%x, instr %d vs %d, cycles %d vs %d)",
+							armed, n, a.m.CPU.PC, b.m.CPU.PC, a.m.Stats.Instructions, b.m.Stats.Instructions,
+							a.m.Stats.Cycles, b.m.Stats.Cycles)
+					}
+					if !errors.Is(errRun, vm.ErrStepLimit) {
+						ended++
+					}
+				}
 			}
-			a.reset(t, armed)
-			b.reset(t, armed)
-			errRun, errStep := a.m.Run(int64(n)), steps(b.m, n)
-			if fmt.Sprint(errRun) != fmt.Sprint(errStep) {
-				t.Fatalf("armed=%v n=%d: Run -> %v, Steps -> %v", armed, n, errRun, errStep)
-			}
-			if sa, sb := a.state(t), b.state(t); sa != sb {
-				t.Fatalf("armed=%v n=%d: Run and Step diverge (pc 0x%x vs 0x%x, instr %d vs %d, cycles %d vs %d)",
-					armed, n, a.m.CPU.PC, b.m.CPU.PC, a.m.Stats.Instructions, b.m.Stats.Instructions,
-					a.m.Stats.Cycles, b.m.Stats.Cycles)
-			}
-			if errRun == nil {
-				halted++
-			}
-		}
+		})
 	}
 }
 
