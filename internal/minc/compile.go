@@ -185,6 +185,7 @@ func (p *Program) Link(m *vm.Machine, externs map[string]uint64) (*Linked, error
 		if err := m.Mem.WriteBytes(real.fn[f.name], code); err != nil {
 			return nil, err
 		}
+		m.InvalidateCode(real.fn[f.name], real.fn[f.name]+uint64(len(code)))
 		l.Sizes[f.name] = len(code)
 		entries := make([]LineEntry, len(ins))
 		for i := range ins {

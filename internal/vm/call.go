@@ -62,7 +62,7 @@ func (m *Machine) beginCall(fn uint64, intArgs []uint64, fArgs []float64) error 
 	// Align the stack and push the HALT stub as return address.
 	m.CPU.R[isa.SP] &^= 7
 	m.rearm()
-	if err := m.push(m.haltAddr); err != nil {
+	if _, err := m.push(m.haltAddr); err != nil {
 		return err
 	}
 	if m.Prof != nil {

@@ -10,8 +10,15 @@ import (
 // Decoded code. Every executable segment the machine has executed from has
 // a page directory (text); a page holds an executor record for each
 // instruction that starts in one pageSize-byte stretch of the segment,
-// found by byte offset. The instruction loop reads a record in place,
-// through a pointer.
+// found by byte offset. The instruction loop reads records in place.
+//
+// Records come in straight-line runs: the records of consecutive
+// instructions, adjacent in the page's array, the last of which is a
+// control op (endsRun), the last one in the page, the last one before an
+// instruction that already had a record, the last one before bytes that
+// do not decode, or the maxRun'th. Each record knows the rest of its run
+// from itself on — how many records and how many base cycles — so the
+// loop charges a run once and then walks it without looking anything up.
 //
 // Who may touch the tables: the goroutine executing the machine, which
 // decodes on first execution; whoever writes code — LoadCode, InstallJIT,
@@ -34,8 +41,13 @@ type xrec struct {
 	// memory operand's displacement.
 	imm int64
 	off uint16 // byte offset of the instruction in its page
-	op  isa.Opcode
-	cc  isa.Cond
+	// rest is the number of records from this one to the end of its run,
+	// and restCost their summed base cost. They are the only fields that
+	// change after a record is made: forget trims a run that reaches into
+	// forgotten code.
+	rest, restCost uint16
+	op             isa.Opcode
+	cc             isa.Cond
 	// dst and src are the register operands: Instr.Dst.Reg and
 	// Instr.Src.Reg when those are registers (FRM: dst is the loaded
 	// register; FMR: src is the stored one).
@@ -81,13 +93,28 @@ var opCost = func() (t [256]uint8) {
 	return t
 }()
 
+// maxRun bounds a run, so that its cost fits restCost: 256 records of at
+// most 255 cycles each.
+const maxRun = 256
+
+// endsRun reports whether op ends a straight-line run: it may transfer
+// control, or it stops the machine.
+func endsRun(op isa.Opcode) bool {
+	switch op {
+	case isa.JMP, isa.JMPR, isa.JCC, isa.CALL, isa.CALLR, isa.RET, isa.HALT, isa.BRK:
+		return true
+	}
+	return false
+}
+
 // codePage is the decoded form of one page of code.
 type codePage struct {
-	// ins holds the page's records in the order they were made. A record
-	// is never rewritten in place, only orphaned (by invalidate) or left
-	// behind in an array the page has replaced, so the pointer the loop
-	// holds stays good across anything the instruction it belongs to can
-	// do — a store into its own code included.
+	// ins holds the page's records in the order they were made, each run
+	// contiguous. Apart from a trim of its run, a record is never
+	// rewritten in place, only orphaned (by invalidate) or left behind in
+	// an array the page has replaced, so the run the loop walks stays good
+	// across anything one of its instructions can do — a store into its
+	// own code included.
 	ins []xrec
 	// live counts the records some slot points at; the rest of ins are
 	// orphans.
@@ -98,20 +125,20 @@ type codePage struct {
 }
 
 // add makes x the record of the instruction at page offset x.off, which
-// has none, and returns it.
-func (pg *codePage) add(x xrec) *xrec {
+// has none. The caller seals the run x belongs to.
+func (pg *codePage) add(x xrec) {
 	pg.room(1)
 	pg.ins = append(pg.ins, x)
 	pg.live++
 	pg.slot[x.off] = uint16(len(pg.ins))
-	return &pg.ins[len(pg.ins)-1]
 }
 
 // room makes space for n more records. A full array is not grown in place:
 // its live records move, in order, to a fresh one, and its orphans stay
-// behind. The fresh array holds twice the live records plus two (records
-// decoded one at a time), or exactly live+n when that is more (a body
-// seeded whole). Live records start at distinct offsets, so neither
+// behind; the records of a live run stay adjacent, since a run holds no
+// orphan. The fresh array holds twice the live records plus two (a run
+// decoded one record at a time), or exactly live+n when that is more (a
+// body seeded whole). Live records start at distinct offsets, so neither
 // exceeds 2*pageSize+2 and an index always fits a 16-bit slot.
 func (pg *codePage) room(n int) {
 	if len(pg.ins)+n <= cap(pg.ins) {
@@ -127,15 +154,36 @@ func (pg *codePage) room(n int) {
 	pg.ins = ins
 }
 
-// forget orphans the records of the instructions starting at page offsets
-// [from, to).
-func (pg *codePage) forget(from, to uint64) {
-	for _, s := range pg.slot[from:to] {
-		if s != 0 {
-			pg.live--
-		}
+// seal makes the last k records of the page one run (k = 0: none).
+func (pg *codePage) seal(k int) {
+	run := pg.ins[len(pg.ins)-k:]
+	var cost uint16
+	for i := k - 1; i >= 0; i-- {
+		cost += uint16(run[i].cost)
+		run[i].rest, run[i].restCost = uint16(k-i), cost
 	}
-	clear(pg.slot[from:to])
+}
+
+// forget orphans the records of the instructions starting at page offsets
+// [from, to), and trims each run that reaches into them to end before the
+// first record it loses. What follows the forgotten records in a run is a
+// run of its own already: rest and restCost count to the run's end.
+func (pg *codePage) forget(from, to uint64) {
+	for i, s := range pg.slot[from:to] {
+		if s == 0 {
+			continue
+		}
+		// Offsets go up within a run, so a forgotten predecessor has its
+		// slot cleared by now and stops the walk.
+		j := int(s) - 1
+		var cost uint16
+		for k := j - 1; k >= 0 && int(pg.ins[k].rest) > j-k && int(pg.slot[pg.ins[k].off]) == k+1; k-- {
+			cost += uint16(pg.ins[k].cost)
+			pg.ins[k].rest, pg.ins[k].restCost = uint16(j-k), cost
+		}
+		pg.slot[from+uint64(i)] = 0
+		pg.live--
+	}
 }
 
 // text is the page directory of one executable segment.
@@ -158,28 +206,52 @@ func (t *text) page(pi uint64) *codePage {
 // slot misses, so the loop needs no nil check.
 var noPage codePage
 
-// fetch returns the record of the instruction at pc, decoding it if this
-// is its first execution since it was written, and makes its page the
-// current one. The loop calls it when the current page does not have pc.
-func (m *Machine) fetch(pc uint64) (*xrec, error) {
+// fetch returns the page and index of the record of the instruction at pc,
+// decoding the run it starts if this is its first execution since it was
+// written, and makes its page the current one. The loop calls it when the
+// current page does not have pc.
+func (m *Machine) fetch(pc uint64) (*codePage, int, error) {
 	t := m.textAt(pc)
 	if t == nil {
 		_, err := m.Mem.FetchSlice(pc) // unmapped or not executable: say which
-		return nil, err
+		return nil, 0, err
 	}
 	off := pc - t.seg.Base
 	pi, po := off>>pageShift, off&(pageSize-1)
 	pg := t.page(pi)
 	m.page, m.pageBase = pg, pc-po
-	if i := pg.slot[po]; i != 0 {
-		return &pg.ins[i-1], nil
+	if i := pg.slot[po]; i == 0 {
+		if err := m.decodeRun(t.seg, pg, pc, po); err != nil {
+			return nil, 0, err
+		}
 	}
-	ins, err := isa.Decode(t.seg.Fetch(pc), pc)
-	if err != nil {
-		return nil, err
+	return pg, int(pg.slot[po]) - 1, nil
+}
+
+// decodeRun decodes the straight-line run starting at pc, page offset po
+// of pg, which has no record there. Only a failure to decode the first
+// instruction is an error: later ones end the run, and fault if and when
+// they are executed.
+func (m *Machine) decodeRun(seg *mem.Segment, pg *codePage, pc, po uint64) error {
+	k := 0
+	for {
+		ins, err := isa.Decode(seg.Fetch(pc), pc)
+		if err != nil {
+			if k == 0 {
+				return err
+			}
+			break
+		}
+		m.decodes++
+		pg.add(record(&ins, po))
+		k++
+		pc, po = pc+uint64(ins.Len), po+uint64(ins.Len)
+		if endsRun(ins.Op) || k == maxRun || po >= pageSize || pg.slot[po] != 0 || !seg.Contains(pc) {
+			break
+		}
 	}
-	m.decodes++
-	return pg.add(record(&ins, po)), nil
+	pg.seal(k)
+	return nil
 }
 
 // textAt returns the directory of the executable segment holding pc,
@@ -201,7 +273,8 @@ func (m *Machine) textAt(pc uint64) *text {
 }
 
 // SeedCode makes stream the machine's decoded form of the code it was
-// decoded from, so that code's first execution decodes nothing. stream
+// decoded from, runs and all, so that code's first execution decodes
+// nothing. stream
 // must be a decode the caller has verified against what the machine holds
 // now — spstore's adoption has proved every instruction of a placed body
 // in lock-step and read the body back — and it must be contiguous, lie in
@@ -244,11 +317,22 @@ func (m *Machine) SeedCode(stream []isa.Instr) error {
 		}
 		pg := t.page(pi)
 		pg.room(j - i)
+		run := 0 // records of the run being seeded
 		for k := i; k < j; k++ {
-			if po := (stream[k].Addr - t.seg.Base) & (pageSize - 1); pg.slot[po] == 0 {
-				pg.add(record(&stream[k], po))
+			ins := &stream[k]
+			po := (ins.Addr - t.seg.Base) & (pageSize - 1)
+			if pg.slot[po] != 0 {
+				pg.seal(run) // the kept record ends the run before it
+				run = 0
+				continue
+			}
+			pg.add(record(ins, po))
+			if run++; endsRun(ins.Op) || run == maxRun {
+				pg.seal(run)
+				run = 0
 			}
 		}
+		pg.seal(run)
 		i = j
 	}
 	return nil

@@ -103,6 +103,9 @@ lanes:
 	if got != want {
 		t.Errorf("second execution returned %#x, want %#x (first returns %#x)", got, want, uint64(old))
 	}
+	if err := m.CheckRecords(); err != nil {
+		t.Error(err)
+	}
 }
 
 // TestWriteJITConcurrentWithInstall: patching a stub with WriteJIT while
@@ -189,6 +192,58 @@ func TestInstallLeavesOtherDecodesInPlace(t *testing.T) {
 	if d := m.Decodes(); d != warm {
 		t.Errorf("executing b after rewriting a decoded %d instructions, want 0", d-warm)
 	}
+	if err := m.CheckRecords(); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestWriteIntoRunTrimsIt: rewriting one instruction in the middle of a
+// decoded straight-line run re-decodes that instruction alone. The part
+// of the run before it is trimmed to end there, the part after it is a
+// run already, and the next call executes the new instruction.
+func TestWriteIntoRunTrimsIt(t *testing.T) {
+	// The 10-byte movi keeps the patch out of reach of the instructions
+	// before it: a write drops every record within isa.MaxInstrLen-1
+	// bytes below it.
+	const src = "f:\n movi r0, 1\n movi r1, 0x1111111111111111\n addi r0, %d\n addi r0, 8\n addi r0, 16\n ret\n"
+	asmAt := func(k int) []byte {
+		p, err := asm.AssembleAt(fmt.Sprintf(src, k), vm.JITBase, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p.Code
+	}
+	m := vm.MustNew()
+	code := asmAt(4)
+	f, err := m.InstallJIT(len(code), func(uint64) ([]byte, error) { return code, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := m.Call(f); err != nil || got != 29 {
+		t.Fatalf("f returned %d, %v", got, err)
+	}
+	patched := asmAt(100)
+	stream, err := isa.DecodeAll(patched, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := stream[2].Addr // the third instruction, addi r0, 100
+	if err := m.WriteJIT(at, patched[at-f:stream[3].Addr-f]); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.CheckRecords(); err != nil {
+		t.Fatal(err)
+	}
+	warm := m.Decodes()
+	if got, err := m.Call(f); err != nil || got != 125 {
+		t.Fatalf("patched f returned %d, %v", got, err)
+	}
+	if d := m.Decodes() - warm; d != 1 {
+		t.Errorf("the patched call decoded %d instructions, want the one written", d)
+	}
+	if err := m.CheckRecords(); err != nil {
+		t.Error(err)
+	}
 }
 
 // TestFullPageOfOrphansStartsOver: patching and re-executing one spot
@@ -234,6 +289,9 @@ func TestPageOfChurnedBodyStaysSmall(t *testing.T) {
 			if held, live := m.PageRecords(b); live != wantLive || held > bound {
 				t.Fatalf("round %d: page holds %d records, %d live; want %d live, at most %d held",
 					i, held, live, wantLive, bound)
+			}
+			if err := m.CheckRecords(); err != nil {
+				t.Fatalf("round %d: %v", i, err)
 			}
 			if err := m.FreeJIT(b); err != nil {
 				t.Fatal(err)

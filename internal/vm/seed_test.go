@@ -84,6 +84,9 @@ func TestAdoptedBodyFirstCallDecodesNothing(t *testing.T) {
 	if d := run(); d != 0 {
 		t.Fatalf("first calls of the adopted body decoded %d instructions, want 0", d)
 	}
+	if err := m2.CheckRecords(); err != nil {
+		t.Fatal(err)
+	}
 	m2.InvalidateCode(aout.Addr, aout.Addr+uint64(aout.Result.CodeSize))
 	if d := run(); d == 0 {
 		t.Fatal("the body decodes nothing even with its records dropped: the count is vacuous")
@@ -229,6 +232,9 @@ func TestSeedConcurrentWithInstall(t *testing.T) {
 	}
 	if d := m.Decodes() - before; d != 0 {
 		t.Fatalf("seeded bodies decoded %d instructions", d)
+	}
+	if err := m.CheckRecords(); err != nil {
+		t.Fatal(err)
 	}
 }
 
