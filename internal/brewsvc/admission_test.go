@@ -248,11 +248,14 @@ func TestAdmissionDeadlineShed(t *testing.T) {
 	}
 
 	// The service is healthy afterwards: the same key specializes fine.
+	// The retry goes through a class without an SLO (priority is not part
+	// of the key), so CPU load elsewhere in the process cannot shed it the
+	// way the 1 ms normal-class deadline could.
 	again := svc.Do(&brewsvc.Request{
 		Config: brew.NewConfig(), Fn: fn,
 		Guards:   []brew.ParamGuard{{Param: 2, Value: 4}},
 		Args:     []uint64{0, 0},
-		Priority: brewsvc.PriorityNormal,
+		Priority: brewsvc.PriorityHigh,
 	})
 	if again.Degraded {
 		t.Fatalf("post-shed retry degraded: %s (%v)", again.Reason, again.Err)

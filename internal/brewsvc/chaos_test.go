@@ -110,9 +110,12 @@ func TestChaosServiceNeverWrongNeverLeaks(t *testing.T) {
 		for i := range injs {
 			s := seed + int64(i)
 			inj := faultinject.New(s)
-			// The mix leaves every point off when s%108 is 0; such an
-			// injector arms one point, rotating, at its base rate.
-			mult := [...]int64{s % 3, (s / 3) % 3, (s / 9) % 3, s % 2, (s / 2) % 2}
+			// Dispatch fires only in a guarded rewrite (s%4 == 0, below),
+			// so its term must vary among those: (s/4)%2 arms it on every
+			// other one. The mix leaves every point off when s%216 is 0
+			// or 162; such an injector arms one point, rotating, at its
+			// base rate.
+			mult := [...]int64{s % 3, (s / 3) % 3, (s / 9) % 3, s % 2, (s / 4) % 2}
 			if mult == [5]int64{} {
 				mult[(s/108)%5] = 1
 				fallbacks++

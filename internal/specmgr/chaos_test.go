@@ -1,7 +1,9 @@
 package specmgr_test
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/brew"
@@ -16,6 +18,10 @@ var chaosPoints = []faultinject.Point{
 	faultinject.PointOpcode, faultinject.PointBudget, faultinject.PointPanic,
 	faultinject.PointJITAlloc, faultinject.PointDispatch,
 }
+
+// chaosBaseRates are chaosPoints' rates at multiplier 1. SiteTrace points
+// fire per traced instruction, so their rates stay small.
+var chaosBaseRates = [...]float64{0.002, 0.002, 0.001, 0.5, 0.5}
 
 // faultEventsSince counts the flight recorder's KindFault events recorded
 // at or after seq, keyed by injection point.
@@ -62,20 +68,34 @@ func TestChaosNeverWrongNeverCrashed(t *testing.T) {
 	cell := w.M1 + uint64((gridXS+1)*8)
 
 	var fired uint64
-	runs, degradedRuns, deoptRuns, variantDeopts := 0, 0, 0, 0
+	runs, fallbacks, degradedRuns, deoptRuns, variantDeopts := 0, 0, 0, 0, 0
+	firedBy := make(map[faultinject.Point]uint64)
+	t.Cleanup(func() {
+		var b strings.Builder
+		for _, p := range chaosPoints {
+			fmt.Fprintf(&b, " %s=%d", p, firedBy[p])
+		}
+		t.Logf("fired per point over %d runs (%d armed by the rotating fallback):%s", runs, fallbacks, b.String())
+	})
 	for seed := int64(1); fired < target; seed++ {
 		runs++
 		seqBefore := obs.Default.Recorder.Seq()
 
 		inj := faultinject.New(seed)
 		// Rates vary by seed so every point gets rounds where it
-		// dominates and rounds where it is silent. SiteTrace points fire
-		// per traced instruction, so their rates stay small.
-		inj.Arm(faultinject.PointOpcode, 0.002*float64(seed%3))
-		inj.Arm(faultinject.PointBudget, 0.002*float64((seed/3)%3))
-		inj.Arm(faultinject.PointPanic, 0.001*float64((seed/9)%3))
-		inj.Arm(faultinject.PointJITAlloc, 0.5*float64(seed%2))
-		inj.Arm(faultinject.PointDispatch, 0.5*float64((seed/2)%2))
+		// dominates and rounds where it is silent. Dispatch fires only in
+		// a guarded rewrite (seed%4 == 0, below), so its term must vary
+		// among those: (seed/4)%2 arms it on every other one. The mix
+		// leaves every point off when seed%216 is 0 or 162; such a seed
+		// arms one point, rotating, at its base rate.
+		mult := [...]int64{seed % 3, (seed / 3) % 3, (seed / 9) % 3, seed % 2, (seed / 4) % 2}
+		if mult == [5]int64{} {
+			mult[(seed/108)%5] = 1
+			fallbacks++
+		}
+		for j, p := range chaosPoints {
+			inj.Arm(p, chaosBaseRates[j]*float64(mult[j]))
+		}
 
 		cfg, args := w.ApplyConfig()
 		cfg.Inject = inj.Hook()
@@ -229,6 +249,9 @@ func TestChaosNeverWrongNeverCrashed(t *testing.T) {
 		}
 
 		fired += inj.TotalFired()
+		for _, p := range chaosPoints {
+			firedBy[p] += inj.Fired(p)
+		}
 	}
 
 	if got := m.JITAlloc.FreeBytes(); got != baseline {

@@ -19,6 +19,7 @@ FREEZE_RUN='TestFreezeNet$|TestFreezeNetUnderCollisions|TestLayoutTwoBases'
 BREW_RACE_RUN='TestRewriteBatch|TestConcurrentDo|TestGenerated|TestOracle|TestCompareMemory|TestRollback|TestFingerprintNeverStale'
 LOCKSTAT_RUN='TestWarmPathZeroLocks|TestShardRouting|TestCrossShardIsolation|TestSubmitBatch|TestAdmission'
 WARM_RUN='TestFingerprintFreeze|TestKeyFreeze|TestWarmHitAllocs|TestFingerprintNeverStale|TestCacheFreezeNet|TestCacheClockReadersVsWriter'
+VM_RUN='TestFreezeNet$|TestRunEqualsSteps|TestGuestStoreIntoCodeIsSeen|TestCycleIdentity|TestMatchesReferenceModel'
 
 # require_tests PATTERN [go test flags] PACKAGE...: fail unless every
 # |-separated alternative of PATTERN lists at least one test.
@@ -41,6 +42,7 @@ require_tests "$FREEZE_RUN" ./internal/brew/
 require_tests "$BREW_RACE_RUN" ./internal/brew/ ./internal/oracle/
 require_tests "$LOCKSTAT_RUN" -tags brewsvc_lockstat ./internal/brewsvc/
 require_tests "$WARM_RUN" ./internal/brew/ ./internal/brewsvc/
+require_tests "$VM_RUN" ./internal/vm/ ./internal/cache/
 
 echo "== go test ./..."
 go test ./...
@@ -74,6 +76,16 @@ rm -f "$GOLDEN_KEPT"
 # (TestWarmHitAllocs).
 echo "== warm-path key freeze net and allocation budget"
 go test -count=1 -run "$WARM_RUN" ./internal/brew/ ./internal/brewsvc/
+
+# The emulator's freeze net, by name: the pinned digests of every guest
+# workload, unarmed and armed (TestFreezeNet), Run(n) against n Steps at
+# every cut, including cuts inside straight-line runs that fault, patch
+# their own code or outlast the budget (TestRunEqualsSteps*), guest stores
+# into code already decoded (TestGuestStoreIntoCodeIsSeen), the cycle
+# identity of the cost model (TestCycleIdentity), and the cache model
+# against its reference LRU (TestMatchesReferenceModel).
+echo "== emulator freeze net"
+go test -count=1 -run "$VM_RUN" ./internal/vm/ ./internal/cache/
 
 # The benchmark is a module of its own (bench/go.mod), so the line above
 # does not descend into it.
