@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/isa"
@@ -157,6 +158,73 @@ func TestALUMatchesEval(t *testing.T) {
 		load(ins)
 		for i, a := range vs {
 			step(ins, a, 0, flagsFor(i), false)
+		}
+	}
+}
+
+// TestFPUMatchesEval: for every two-operand float opcode, one Step leaves
+// exactly what isa.EvalFPU says — the result bits in the destination when
+// the op writes it, the flags for FCMP — on edge values (signed zeros,
+// infinities, NaN, subnormals) and seeded randoms, and nothing else
+// changes. The loop takes its own route to FMOV, FADD, FSUB and FMUL.
+func TestFPUMatchesEval(t *testing.T) {
+	m := vm.MustNew()
+	at, err := m.JITAlloc.Alloc(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const dst, src = isa.R2, isa.R5
+	vs := []float64{0, math.Copysign(0, -1), 1, -1, 0.5, 3, math.Inf(1), math.Inf(-1), math.NaN(),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, math.MaxFloat64, -math.MaxFloat64, 1e-310}
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 200; i++ {
+		vs = append(vs, math.Float64frombits(r.Uint64()), r.NormFloat64())
+	}
+	bits := func(c *vm.CPU) []uint64 {
+		out := []uint64{c.Flags.Bits(), c.PC}
+		for _, f := range c.F {
+			out = append(out, math.Float64bits(f))
+		}
+		return append(out, c.R[:]...)
+	}
+	for _, op := range []isa.Opcode{isa.FMOV, isa.FADD, isa.FSUB, isa.FMUL, isa.FDIV, isa.FSQRT, isa.FCMP} {
+		ins := isa.MakeRR(op, dst, src)
+		ins.Addr = at
+		code, err := isa.AppendEncode(nil, ins)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.WriteJIT(at, code); err != nil {
+			t.Fatal(err)
+		}
+		for i, a := range vs {
+			for _, b := range []float64{vs[(i+1)%len(vs)], vs[i%14]} {
+				var before vm.CPU
+				for k := range before.F {
+					before.F[k] = float64(k) + 0.25
+				}
+				before.R[isa.SP] = m.CPU.R[isa.SP]
+				before.F[dst], before.F[src] = a, b
+				before.Flags, before.PC = isa.FlagsFromBits(uint64(i)&15), at
+				m.CPU = before
+
+				want := before
+				want.PC = at + uint64(len(code))
+				res, fl, writes := isa.EvalFPU(op, a, b)
+				if writes {
+					want.F[dst] = res
+				}
+				if op == isa.FCMP {
+					want.Flags = fl
+				}
+				if err := m.Step(); err != nil {
+					t.Fatalf("%v with f2=%v, f5=%v: %v", ins, a, b, err)
+				}
+				if !slices.Equal(bits(&m.CPU), bits(&want)) {
+					t.Fatalf("%v with f2=%v, f5=%v: got f2=%v flags %+v, want f2=%v flags %+v",
+						ins, a, b, m.CPU.F[dst], m.CPU.Flags, want.F[dst], want.Flags)
+				}
+			}
 		}
 	}
 }
