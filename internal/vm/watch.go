@@ -52,16 +52,19 @@ func (m *Machine) RemoveWatch(w *Watch) {
 // Watches returns the installed watchpoints (shared slice; do not mutate).
 func (m *Machine) Watches() []*Watch { return m.watches }
 
-// hitWatches dispatches one store to every overlapping watchpoint. The
-// overlap test is [addr, addr+size) ∩ [Start, End) ≠ ∅, so a store
-// straddling a region edge still triggers the watch.
-func (m *Machine) hitWatches(addr uint64, size int) {
+// hitWatches dispatches one store to every overlapping watchpoint and
+// reports whether any handler ran. The overlap test is [addr, addr+size) ∩
+// [Start, End) ≠ ∅, so a store straddling a region edge still triggers the
+// watch.
+func (m *Machine) hitWatches(addr uint64, size int) (hit bool) {
 	end := addr + uint64(size)
 	for _, w := range m.watches {
 		if addr < w.End && end > w.Start && w.OnHit != nil {
 			w.OnHit(w, addr, size)
+			hit = true
 		}
 	}
+	return hit
 }
 
 // FreeJIT releases a JIT allocation (a rewritten body, dispatcher or entry
